@@ -55,7 +55,7 @@ let run_once ?(seed = 7) ~preset ~leases ~workers ~rate () =
   Sim.Engine.run engine ~until:(until +. drain);
   let slo = Kv.slo sys in
   let rows = Kv.Slo.rows slo in
-  let completed = List.fold_left (fun a (r : Kv.Slo.row) -> a + r.count) 0 rows in
+  let completed = Kv.completed sys in
   (* Read-path tail: the worse of the local and ordered read classes, so a
      lease tier that serves most reads locally cannot hide the latency of
      the reads it strands on the fallback path. *)

@@ -91,24 +91,28 @@ let cloud_cmd =
     Term.(const run $ lib $ kill $ hetero)
 
 let kv_cmd =
-  let ops = Arg.(value & opt int 1000 & info [ "n" ] ~doc:"Operations to run.") in
+  let ops = Arg.(value & opt int 1000 & info [ "n" ] ~doc:"Operations to offer.") in
   let run n =
+    let module OL = Hpsmr.Smr.Workload.Open_loop in
     let env = Hpsmr.Env.create ~seed:3 () in
-    let kv = Hpsmr.Replicated_kv.create env ~replicas:3 in
-    let remaining = ref n in
-    let rec step i =
-      if i <= n then
-        Hpsmr.Replicated_kv.put kv ~key:i ~value:(2 * i) ~k:(fun () ->
-            decr remaining;
-            step (i + 1))
+    let kv = Hpsmr.Kv.create env.net Hpsmr.Kv.default_config ~n_clients:4 in
+    (* YCSB-A (50% reads, 50% updates) offered at 10k ops/s for as long as
+       it takes to generate about [n] arrivals. *)
+    let rate = 10_000.0 in
+    let wl =
+      Hpsmr.Kv.Ycsb.workload Hpsmr.Kv.Ycsb.A (Hpsmr.Sim.Rng.create 4)
+        ~rate:(OL.Constant rate)
     in
-    step 1;
-    Hpsmr.Env.run env ~for_:30.0;
-    Printf.printf "completed %d/%d puts in %.2f simulated seconds\n" (n - !remaining) n
-      (Hpsmr.Env.now env)
+    let until = float_of_int n /. rate in
+    Hpsmr.Kv.start_open kv wl ~until;
+    Hpsmr.Env.run env ~for_:(until +. 0.5);
+    let slo = Hpsmr.Kv.slo kv in
+    Printf.printf "completed %d/%d ops offered over %.2f simulated seconds\n"
+      (Hpsmr.Kv.completed kv) (OL.generated wl) until;
+    print_string (Hpsmr.Kv.Slo.render slo)
   in
   Cmd.v
-    (Cmd.info "kv" ~doc:"Closed-loop puts against the replicated KV quickstart service.")
+    (Cmd.info "kv" ~doc:"Open-loop YCSB-A against the replicated KV service.")
     Term.(const run $ ops)
 
 let () =

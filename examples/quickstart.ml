@@ -1,44 +1,34 @@
-(* Quickstart: a fault-tolerant key-value store replicated with
-   M-Ring Paxos, in a few lines.
+(* Quickstart: a replicated key-value service driven by a YCSB workload.
+   Every replica orders commands through Multi-Ring Paxos, executes them
+   on a parallel executor over its own B+-tree, and serves single-key
+   reads locally while it holds a lease.
 
      dune exec examples/quickstart.exe
 
-   The store survives the crash of its coordinator: the demo kills it
-   mid-run and keeps serving. *)
+   The service survives the crash of its ring coordinator: the demo kills
+   it mid-run, keeps serving, and ends with the per-class latency table. *)
+
+module OL = Hpsmr.Smr.Workload.Open_loop
 
 let () =
   let env = Hpsmr.Env.create ~seed:42 () in
-  let kv = Hpsmr.Replicated_kv.create env ~replicas:3 in
-
-  (* Write 1..100, then read a few keys back. *)
-  let writes_done = ref 0 in
-  for i = 1 to 100 do
-    Hpsmr.Replicated_kv.put kv ~key:i ~value:(i * i) ~k:(fun () -> incr writes_done)
-  done;
+  let kv = Hpsmr.Kv.create env.net Hpsmr.Kv.default_config ~n_clients:4 in
+  (* YCSB-B: 95% reads, 5% updates over zipfian keys, 5000 ops/s. *)
+  let wl =
+    Hpsmr.Kv.Ycsb.workload Hpsmr.Kv.Ycsb.B (Hpsmr.Sim.Rng.create 1)
+      ~rate:(OL.Constant 5_000.0)
+  in
+  Hpsmr.Kv.start_open kv wl ~until:2.0;
   Hpsmr.Env.run env ~for_:0.5;
-  Printf.printf "after 0.5 s: %d/100 writes acknowledged\n" !writes_done;
-
-  Hpsmr.Replicated_kv.get kv ~key:7 ~k:(fun v ->
-      Printf.printf "get 7 -> %s\n"
-        (match v with Some v -> string_of_int v | None -> "none"));
-  Hpsmr.Env.run env ~for_:0.1;
+  Printf.printf "after 0.5 s: %d ops completed, %d served by a local lease\n"
+    (Hpsmr.Kv.completed kv)
+    (Hpsmr.Kv.counter kv "kv_local_reads");
 
   (* Crash the Ring Paxos coordinator; a spare acceptor takes over. *)
-  Printf.printf "killing the coordinator...\n";
-  Hpsmr.Replicated_kv.kill_coordinator kv;
-  Hpsmr.Env.run env ~for_:0.1;
-
-  let before = Hpsmr.Replicated_kv.completed kv in
-  for i = 101 to 150 do
-    Hpsmr.Replicated_kv.put kv ~key:i ~value:i ~k:(fun () -> ())
-  done;
-  Hpsmr.Env.run env ~for_:2.0;
-  Printf.printf "after the fault window: %d commands completed (was %d)\n"
-    (Hpsmr.Replicated_kv.completed kv)
-    before;
-
-  Hpsmr.Replicated_kv.get kv ~key:150 ~k:(fun v ->
-      Printf.printf "get 150 -> %s\n"
-        (match v with Some v -> string_of_int v | None -> "none"));
-  Hpsmr.Env.run env ~for_:0.2;
+  print_endline "killing the coordinator...";
+  Hpsmr.Kv.kill_coordinator kv;
+  Hpsmr.Env.run env ~for_:3.0;
+  Printf.printf "after the fault window: %d/%d ops completed\n" (Hpsmr.Kv.completed kv)
+    (OL.generated wl);
+  print_string (Hpsmr.Kv.Slo.render (Hpsmr.Kv.slo kv));
   print_endline "quickstart done"

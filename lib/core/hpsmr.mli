@@ -6,12 +6,17 @@
     state partitioning, Multi-Ring Paxos atomic multicast and Parallel SMR,
     all running on a deterministic discrete-event network simulator.
 
-    Quick start:
+    Quick start: a replicated KV service driven by a YCSB preset.
     {[
       let env = Hpsmr.Env.create ~seed:42 () in
-      let kv = Hpsmr.Replicated_kv.create env ~replicas:2 in
-      Hpsmr.Replicated_kv.put kv ~key:1 ~value:10 ~k:(fun _ -> ...);
-      Hpsmr.Env.run env ~for_:1.0
+      let kv = Hpsmr.Kv.create env.net Hpsmr.Kv.default_config ~n_clients:4 in
+      let wl =
+        Hpsmr.Kv.Ycsb.workload Hpsmr.Kv.Ycsb.B (Hpsmr.Sim.Rng.create 1)
+          ~rate:(Hpsmr.Smr.Workload.Open_loop.Constant 5_000.0)
+      in
+      Hpsmr.Kv.start_open kv wl ~until:1.0;
+      Hpsmr.Env.run env ~for_:1.5;
+      print_string (Hpsmr.Kv.Slo.render (Hpsmr.Kv.slo kv))
     ]}
 
     For full control use the re-exported libraries below — they are the
@@ -49,6 +54,11 @@ module Multiring = Multiring
 module Psmr = Psmr
 (** Parallel SMR (Ch. 6). *)
 
+module Kv = Kv
+(** The replicated key-value service over the full stack (Multi-Ring
+    Paxos, parallel executor, B+-tree) with lease-based local reads and
+    YCSB workloads. *)
+
 module Cloud = Cloud
 (** Cloud evaluation harness (Ch. 7). *)
 
@@ -65,28 +75,4 @@ module Env : sig
   val run : t -> for_:float -> unit
 
   val now : t -> float
-end
-
-(** {1 A replicated key-value service in three lines} *)
-
-module Replicated_kv : sig
-  type t
-
-  (** [create env ~replicas] builds a KV store replicated with M-Ring Paxos
-      ([2f+1] acceptors with [f = 2]) and [replicas] executing replicas. *)
-  val create : Env.t -> replicas:int -> t
-
-  (** Asynchronous operations; the continuation runs when a replica's
-      response reaches the client. *)
-
-  val put : t -> key:int -> value:int -> k:(unit -> unit) -> unit
-
-  val get : t -> key:int -> k:(int option -> unit) -> unit
-
-  (** Commands completed so far. *)
-  val completed : t -> int
-
-  (** Crash the current Ring Paxos coordinator; a spare takes over and the
-      store keeps serving. *)
-  val kill_coordinator : t -> unit
 end

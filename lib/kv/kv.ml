@@ -6,12 +6,9 @@ type config = {
   n_replicas : int;
   n_workers : int;
   ring : Ringpaxos.Mring.config;
-  lambda : float;
-  delta : float;
-  merge_m : int;
+  executor : Psmr.Executor.mode;
   leases : bool;
   lease_dur : float;
-  lease_margin : float;
   lease_backoff : float;
   read_timeout : float;
   initial_keys : int;
@@ -23,17 +20,22 @@ let default_config =
   { n_replicas = 3;
     n_workers = 2;
     ring = Ringpaxos.Mring.default_config;
-    lambda = 50_000.0;
-    delta = 1.0e-3;
-    merge_m = 8;
+    executor = Psmr.Executor.Pessimistic;
     leases = true;
     lease_dur = 0.5;
-    lease_margin = 1.0e-3;
     lease_backoff = 0.05;
     read_timeout = 0.25;
     initial_keys = 10_000;
     key_range = 100_000;
     record_history = false }
+
+(* Multi-Ring merge parameters (skip rate, skip interval, merge batch) for
+   the single ring, and the slack past a lease's expiry before a write is
+   answered without that holder's ack. *)
+let lambda = 50_000.0
+let delta = 1.0e-3
+let merge_m = 8
+let lease_margin = 1.0e-3
 
 type Simnet.payload +=
   | KOp of { op : Simnet.payload; reads : Btree.Keyset.t; writes : Btree.Keyset.t }
@@ -254,7 +256,7 @@ let apply_op t rep (it : Paxos.Value.item) ~op ~reads ~writes =
       else begin
         let deadline =
           List.fold_left (fun m (_, u) -> Stdlib.max m u) 0.0 need
-          +. t.cfg.lease_margin
+          +. lease_margin
         in
         let deadline = Stdlib.max deadline commit in
         Hashtbl.replace t.wpend uid
@@ -536,9 +538,9 @@ let create ?on_broadcast ?on_deliver net cfg ~n_clients =
     { Multiring.ring = cfg.ring;
       n_rings = 1;
       n_groups = 0;
-      lambda = cfg.lambda;
-      delta = cfg.delta;
-      m = cfg.merge_m;
+      lambda;
+      delta;
+      m = merge_m;
       buffer_items = 500_000 }
   in
   let mr =
@@ -555,7 +557,7 @@ let create ?on_broadcast ?on_deliver net cfg ~n_clients =
           (Psmr.Executor.create
              ?tracer:(Simnet.tracer net)
              ~pid:(Simnet.pid (Multiring.learner_proc mr rep.r_idx))
-             ~mode:Psmr.Executor.Pessimistic ~n_workers:cfg.n_workers
+             ~mode:cfg.executor ~n_workers:cfg.n_workers
              rep.r_svc.Smr.Btree_service.service))
     t.reps;
   (* Replica-side handlers: local read requests and write acks arrive on
@@ -631,6 +633,13 @@ let start_open t wl ~until =
 (* --- accessors -------------------------------------------------------------------- *)
 
 let slo t = t.slo
+
+let completed t =
+  List.fold_left
+    (fun acc cls ->
+      acc + Option.fold ~none:0 ~some:Sim.Stats.Latency.count (Slo.latency t.slo cls))
+    0 (Slo.classes t.slo)
+
 let counters t = Protocol.Counters.snapshot t.ctrs
 let counter t name = Protocol.Counters.get t.ctrs name
 let issued t = t.issued
@@ -641,6 +650,11 @@ let pending_local_reads t = Hashtbl.length t.pending_reads
 
 let executed t =
   Array.fold_left (fun acc rep -> acc + Psmr.Executor.executed (exec_of rep)) 0 t.reps
+
+let rollbacks t =
+  Array.fold_left (fun acc rep -> acc + Psmr.Executor.rollbacks (exec_of rep)) 0 t.reps
+
+let kill_coordinator t = Multiring.kill_ring_coordinator (the_mr t) 0
 
 let state_fingerprint_at t r = Smr.Btree_service.fingerprint t.reps.(r).r_svc
 

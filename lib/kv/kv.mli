@@ -32,12 +32,13 @@ type config = {
   n_replicas : int;
   n_workers : int;  (** executor worker threads per replica *)
   ring : Ringpaxos.Mring.config;
-  lambda : float;
-  delta : float;
-  merge_m : int;
+  executor : Psmr.Executor.mode;
+      (** [Pessimistic] dispatches each command once its conflicting
+          predecessors finish (arXiv 1311.6183); [Optimistic] executes
+          speculatively and rolls back stale reads at commit (arXiv
+          1404.6721) *)
   leases : bool;  (** grant leases and serve local reads *)
   lease_dur : float;  (** lease length, seconds of virtual time *)
-  lease_margin : float;  (** slack past expiry before a deadline response *)
   lease_backoff : float;  (** client-side nack/timeout backoff per replica *)
   read_timeout : float;  (** local-read timeout against a dead replica *)
   initial_keys : int;
@@ -79,6 +80,9 @@ val start_open : t -> Smr.Workload.Open_loop.t -> until:float -> unit
     "scan"). *)
 val slo : t -> Slo.t
 
+(** Ops answered so far, over every class of {!slo}. *)
+val completed : t -> int
+
 (** Event counters (kv_local_reads, kv_local_nacks, kv_lease_grants,
     kv_lease_invalidations, kv_wacks, kv_deadline_responses,
     kv_read_timeouts, kv_drops, ...). *)
@@ -101,6 +105,14 @@ val pending_local_reads : t -> int
 
 (** Commands executed, summed across replicas. *)
 val executed : t -> int
+
+(** Speculative re-executions ([Optimistic] executor), summed across
+    replicas; always 0 under [Pessimistic]. *)
+val rollbacks : t -> int
+
+(** Crash the ring's current coordinator; a spare acceptor takes over and
+    the service keeps serving. *)
+val kill_coordinator : t -> unit
 
 (** Fingerprint of replica [r]'s btree (replicas must agree). *)
 val state_fingerprint_at : t -> int -> int

@@ -30,8 +30,12 @@ let classes t = t.order
 
 let latency t cls = Hashtbl.find_opt t.meters cls
 
+(* A class never recorded reads as a zero-count row; looking it up must
+   not register it, or a read accessor would change later [rows]. *)
 let row_of t cls =
-  let m = meter t cls in
+  let m =
+    match latency t cls with Some m -> m | None -> Sim.Stats.Latency.create ()
+  in
   let ms v = v *. 1e3 in
   { cls;
     count = Sim.Stats.Latency.count m;

@@ -29,6 +29,8 @@ val classes : t -> string list
 (** The raw recorder of a class, if any sample was recorded. *)
 val latency : t -> string -> Sim.Stats.Latency.t option
 
+(** [row_of t cls] summarises one class; a class with no samples yields a
+    zero-count row and is not added to {!classes}. *)
 val row_of : t -> string -> row
 val rows : t -> row list
 

@@ -1,52 +1,92 @@
-(* Tests for the Hpsmr facade (lib/core). *)
+(* Tests for the Hpsmr facade (lib/core): the replicated KV service it
+   re-exports, driven through [Hpsmr.Env]. *)
+
+module Kv = Hpsmr.Kv
+module OL = Hpsmr.Smr.Workload.Open_loop
+
+(* A small deployment over an empty tree, leases off, recording the
+   history so every read can be matched against the writes it saw. *)
+let kv_env ~seed ~replicas ~keys =
+  let env = Hpsmr.Env.create ~seed () in
+  let config =
+    { Kv.default_config with
+      n_replicas = replicas;
+      leases = false;
+      initial_keys = 0;
+      key_range = keys;
+      record_history = true }
+  in
+  (env, Kv.create env.net config ~n_clients:2)
+
+let drive kv ~ops ~keys ~until =
+  let wl =
+    OL.create ~ops ~dist:OL.Uniform (Hpsmr.Sim.Rng.create 1) ~key_range:keys
+      ~rate:(OL.Constant 500.0)
+  in
+  Kv.start_open kv wl ~until;
+  wl
+
+let reads kv =
+  List.filter_map
+    (fun (op : Hpsmr.Smr.Linearizability.Kv.op) ->
+      match op.kind with `Read v -> Some (op, v) | `Write _ -> None)
+    (Kv.history kv)
+
+let written kv ~key v =
+  List.exists
+    (fun (op : Hpsmr.Smr.Linearizability.Kv.op) ->
+      op.key = key && op.kind = `Write (Some v))
+    (Kv.history kv)
 
 let test_kv_put_get () =
-  let env = Hpsmr.Env.create ~seed:2 () in
-  let kv = Hpsmr.Replicated_kv.create env ~replicas:3 in
-  let got = ref None in
-  Hpsmr.Replicated_kv.put kv ~key:7 ~value:49 ~k:(fun () ->
-      Hpsmr.Replicated_kv.get kv ~key:7 ~k:(fun v -> got := v));
-  Hpsmr.Env.run env ~for_:0.5;
-  Alcotest.(check (option int)) "read back" (Some 49) !got;
-  Alcotest.(check int) "two commands completed" 2 (Hpsmr.Replicated_kv.completed kv)
+  let env, kv = kv_env ~seed:2 ~replicas:3 ~keys:8 in
+  let wl = drive kv ~ops:[ (OL.Update, 50); (OL.Read, 50) ] ~keys:8 ~until:0.5 in
+  Hpsmr.Env.run env ~for_:1.0;
+  let read_back =
+    List.filter
+      (fun ((op : Hpsmr.Smr.Linearizability.Kv.op), v) ->
+        match v with Some v -> written kv ~key:op.key v | None -> false)
+      (reads kv)
+  in
+  Alcotest.(check bool) "reads return written values" true (read_back <> []);
+  Alcotest.(check int) "every op answered" (OL.generated wl) (Kv.completed kv);
+  Alcotest.(check bool) "linearizable" true (Kv.check_history kv)
 
 let test_kv_get_missing () =
-  let env = Hpsmr.Env.create ~seed:3 () in
-  let kv = Hpsmr.Replicated_kv.create env ~replicas:1 in
-  let got = ref (Some 1) in
-  Hpsmr.Replicated_kv.get kv ~key:12345 ~k:(fun v -> got := v);
+  let env, kv = kv_env ~seed:3 ~replicas:1 ~keys:1_000 in
+  ignore (drive kv ~ops:[ (OL.Read, 100) ] ~keys:1_000 ~until:0.2);
   Hpsmr.Env.run env ~for_:0.5;
-  Alcotest.(check (option int)) "missing key" None !got
+  let rs = reads kv in
+  Alcotest.(check bool) "reads answered" true (rs <> []);
+  Alcotest.(check bool) "missing keys read as none" true
+    (List.for_all (fun (_, v) -> v = None) rs)
 
 let test_kv_survives_coordinator_crash () =
-  let env = Hpsmr.Env.create ~seed:4 () in
-  let kv = Hpsmr.Replicated_kv.create env ~replicas:2 in
-  for i = 1 to 20 do
-    Hpsmr.Replicated_kv.put kv ~key:i ~value:i ~k:(fun () -> ())
-  done;
+  let env, kv = kv_env ~seed:4 ~replicas:2 ~keys:16 in
+  let wl = drive kv ~ops:[ (OL.Update, 50); (OL.Read, 50) ] ~keys:16 ~until:3.0 in
   Hpsmr.Env.run env ~for_:0.3;
-  Hpsmr.Replicated_kv.kill_coordinator kv;
-  Hpsmr.Env.run env ~for_:1.5;
-  let got = ref None in
-  Hpsmr.Replicated_kv.put kv ~key:99 ~value:990 ~k:(fun () ->
-      Hpsmr.Replicated_kv.get kv ~key:99 ~k:(fun v -> got := v));
-  Hpsmr.Env.run env ~for_:2.0;
-  Alcotest.(check (option int)) "post-failover write+read" (Some 990) !got
+  Kv.kill_coordinator kv;
+  Hpsmr.Env.run env ~for_:3.5;
+  let late_reads =
+    List.filter
+      (fun ((op : Hpsmr.Smr.Linearizability.Kv.op), v) ->
+        op.inv > 2.0 && v <> None)
+      (reads kv)
+  in
+  Alcotest.(check bool) "post-failover reads see writes" true (late_reads <> []);
+  Alcotest.(check int) "every op answered" (OL.generated wl) (Kv.completed kv);
+  Alcotest.(check bool) "linearizable" true (Kv.check_history kv)
 
 let test_env_determinism () =
   let run () =
-    let env = Hpsmr.Env.create ~seed:5 () in
-    let kv = Hpsmr.Replicated_kv.create env ~replicas:2 in
-    let trace = ref [] in
-    for i = 1 to 10 do
-      Hpsmr.Replicated_kv.put kv ~key:i ~value:i ~k:(fun () ->
-          trace := (i, Hpsmr.Env.now env) :: !trace)
-    done;
+    let env, kv = kv_env ~seed:5 ~replicas:2 ~keys:16 in
+    ignore (drive kv ~ops:[ (OL.Update, 50); (OL.Read, 50) ] ~keys:16 ~until:0.5);
     Hpsmr.Env.run env ~for_:1.0;
-    !trace
+    (Kv.history kv, Kv.counters kv)
   in
   let a = run () and b = run () in
-  Alcotest.(check bool) "same seed, identical completion trace" true (a = b && a <> [])
+  Alcotest.(check bool) "same seed, identical history" true
+    (a = b && fst a <> [])
 
 let suite =
   [ Alcotest.test_case "kv put/get" `Quick test_kv_put_get;

@@ -168,6 +168,91 @@ let test_ycsb_d_uses_latest () =
     | Smr.Workload.Open_loop.Latest _ -> true
     | _ -> false)
 
+(* Both executor modes behind the ordered path (leases off): commands
+   complete, replicas end in the same tree, and only the optimistic mode
+   rolls back — a zipfian write-heavy stream at a rate that keeps several
+   commands in flight on the hot keys. *)
+let test_kv_executor_modes () =
+  List.iter
+    (fun mode ->
+      let config =
+        { Kv.default_config with
+          n_replicas = 2;
+          n_workers = 4;
+          executor = mode;
+          leases = false }
+      in
+      let engine, _net, sys = mk ~config () in
+      let wl =
+        Kv.Ycsb.workload Kv.Ycsb.A (Sim.Rng.create 12) ~rate:(OL.Constant 40_000.0)
+      in
+      Kv.start_open sys wl ~until:0.3;
+      Sim.Engine.run engine ~until:0.4;
+      Alcotest.(check int) "every op answered" (OL.generated wl) (Kv.completed sys);
+      Alcotest.(check int) "replicas agree on final state"
+        (Kv.state_fingerprint_at sys 0)
+        (Kv.state_fingerprint_at sys 1);
+      Alcotest.(check bool) "rollbacks only when optimistic"
+        (mode = Psmr.Executor.Optimistic)
+        (Kv.rollbacks sys > 0))
+    [ Psmr.Executor.Pessimistic; Psmr.Executor.Optimistic ]
+
+(* Optimistic execution under the lease tier: speculative writes must not
+   leak into local reads or diverge replicas. *)
+let test_kv_optimistic_with_leases () =
+  let config = { verify_config with executor = Psmr.Executor.Optimistic } in
+  let sys, _ = drive ~config ~rate:1_000.0 ~until:0.5 () in
+  Alcotest.(check bool) "rollbacks happened" true (Kv.rollbacks sys > 0);
+  Alcotest.(check bool) "local reads occurred" true
+    (Kv.counter sys "kv_local_reads" > 0);
+  for r = 1 to 2 do
+    Alcotest.(check int)
+      (Printf.sprintf "replica %d fingerprint" r)
+      (Kv.state_fingerprint_at sys 0)
+      (Kv.state_fingerprint_at sys r)
+  done;
+  Alcotest.(check bool) "linearizable" true (Kv.check_history sys)
+
+(* Open-loop driving: arrivals are paced by the generator's rate curve,
+   not by responses. *)
+let test_kv_open_loop_drive () =
+  let config = { Kv.default_config with leases = false } in
+  let engine, _net, sys = mk ~config ~n_clients:16 () in
+  let wl =
+    OL.create (Sim.Rng.create 5) ~key_range:100_000 ~rate:(OL.Constant 10_000.0)
+  in
+  Kv.start_open sys wl ~until:0.4;
+  Sim.Engine.run engine ~until:0.5;
+  let done_ = Kv.completed sys in
+  Alcotest.(check bool)
+    (Printf.sprintf "open-loop commands complete (%d)" done_)
+    true
+    (done_ > 2_000 && done_ + Kv.drops sys <= OL.generated wl)
+
+(* Shrink the proposer window so the ring refuses arrivals mid-run: with
+   leases off every arrival the driver consumes lands in exactly one of
+   issued or drops (no discarded lookahead at the horizon, no
+   double-issue), and drops never complete. *)
+let test_kv_open_loop_drop_accounting () =
+  let config =
+    { Kv.default_config with
+      leases = false;
+      ring = { Ringpaxos.Mring.default_config with proposer_buffer = 4 * 1024 } }
+  in
+  let engine, _net, sys = mk ~config ~n_clients:2 () in
+  let wl =
+    OL.create (Sim.Rng.create 9) ~key_range:100_000 ~rate:(OL.Constant 20_000.0)
+  in
+  Kv.start_open sys wl ~until:0.4;
+  Sim.Engine.run engine ~until:0.6;
+  Alcotest.(check bool)
+    (Printf.sprintf "window overflow dropped arrivals (%d)" (Kv.drops sys))
+    true (Kv.drops sys > 0);
+  Alcotest.(check int) "generated = issued + drops" (OL.generated wl)
+    (Kv.issued sys + Kv.drops sys);
+  Alcotest.(check bool) "completions bounded by issued" true
+    (Kv.completed sys <= Kv.issued sys)
+
 let test_slo_percentiles () =
   let slo = Kv.Slo.create () in
   for i = 1 to 1000 do
@@ -179,7 +264,13 @@ let test_slo_percentiles () =
     (r.Kv.Slo.p50_ms > 450.0 && r.Kv.Slo.p50_ms < 550.0);
   Alcotest.(check bool) "p99 ~ 990ms" true
     (r.Kv.Slo.p99_ms > 950.0 && r.Kv.Slo.p99_ms <= 1000.0);
-  Alcotest.(check bool) "p999 >= p99" true (r.Kv.Slo.p999_ms >= r.Kv.Slo.p99_ms)
+  Alcotest.(check bool) "p999 >= p99" true (r.Kv.Slo.p999_ms >= r.Kv.Slo.p99_ms);
+  (* Reading an unseen class is side-effect free. *)
+  let unseen = Kv.Slo.row_of slo "scan" in
+  Alcotest.(check int) "unseen class count" 0 unseen.Kv.Slo.count;
+  Alcotest.(check (list string)) "unseen class not registered" [ "read" ]
+    (Kv.Slo.classes slo);
+  Alcotest.(check int) "rows unchanged" 1 (List.length (Kv.Slo.rows slo))
 
 let suite =
   [ Alcotest.test_case "kv ycsb-a end to end" `Quick test_kv_completes;
@@ -196,4 +287,11 @@ let suite =
     Alcotest.test_case "ycsb presets well-formed" `Quick
       test_ycsb_presets_wellformed;
     Alcotest.test_case "ycsb D latest-key" `Quick test_ycsb_d_uses_latest;
-    Alcotest.test_case "slo percentiles" `Quick test_slo_percentiles ]
+    Alcotest.test_case "slo percentiles" `Quick test_slo_percentiles;
+    Alcotest.test_case "kv executor modes end to end" `Quick
+      test_kv_executor_modes;
+    Alcotest.test_case "kv optimistic executor with leases" `Quick
+      test_kv_optimistic_with_leases;
+    Alcotest.test_case "kv open-loop drive" `Quick test_kv_open_loop_drive;
+    Alcotest.test_case "kv open-loop drop accounting" `Quick
+      test_kv_open_loop_drop_accounting ]
