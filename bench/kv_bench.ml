@@ -10,7 +10,9 @@
       whose read p99 stays inside a fixed budget, leases on vs off.
 
    A final verify slice replays a small history-recording run through the
-   linearizability checker.  Results go to stdout and BENCH_kv.json; CI
+   linearizability checker.  Every row records the busiest replica's
+   learner-CPU and executor-worker utilisation, the two resources the read
+   paths share.  Results go to stdout and BENCH_kv.json; CI
    gates on the leases-on read p99 beating leases-off on YCSB-C, the
    linearizability verdict and a throughput floor. *)
 
@@ -35,6 +37,8 @@ type run = {
   read_p50 : float;  (** worst read class, ms *)
   read_p99 : float;
   read_p999 : float;
+  learner_cpu_pct : float;  (** busiest replica's learner CPU *)
+  worker_util_pct : float;  (** busiest replica's executor workers *)
   rows : Kv.Slo.row list;
   table : string;
 }
@@ -65,6 +69,20 @@ let run_once ?(seed = 7) ~preset ~leases ~workers ~rate () =
       rows
   in
   let worst f = List.fold_left (fun a r -> Float.max a (f r)) 0.0 read_rows in
+  (* Which resource saturates: the busiest replica's learner CPU and
+     executor workers over the arrival window. *)
+  let busiest f =
+    List.fold_left Float.max 0.0 (List.init config.n_replicas f)
+  in
+  let learner_cpu_pct =
+    busiest (fun r ->
+        Sim.Stats.Busy.utilization
+          (Simnet.cpu_busy (Simnet.proc_node (Kv.replica_proc sys r)))
+          ~from:0.0 ~till:until)
+  in
+  let worker_util_pct =
+    busiest (fun replica -> Kv.worker_utilization sys ~replica ~from:0.0 ~till:until)
+  in
   { preset;
     leases;
     workers;
@@ -78,6 +96,8 @@ let run_once ?(seed = 7) ~preset ~leases ~workers ~rate () =
     read_p50 = worst (fun r -> r.Kv.Slo.p50_ms);
     read_p99 = worst (fun r -> r.Kv.Slo.p99_ms);
     read_p999 = worst (fun r -> r.Kv.Slo.p999_ms);
+    learner_cpu_pct;
+    worker_util_pct;
     rows;
     table = Kv.Slo.render slo }
 
@@ -131,9 +151,10 @@ let ladder leases =
     | [] -> (sustained, List.rev acc)
     | rate :: rest ->
         let r = run_once ~preset:Kv.Ycsb.C ~leases ~workers:2 ~rate () in
-        Printf.printf "%-7s %12.0f %12.0f %10.3f %10d\n"
+        Printf.printf "%-7s %12.0f %12.0f %10.3f %10d %8.1f %8.1f\n"
           (if leases then "leases" else "ordered")
-          rate r.ops_per_sec r.read_p99 r.drops;
+          rate r.ops_per_sec r.read_p99 r.drops r.learner_cpu_pct
+          r.worker_util_pct;
         let acc = r :: acc in
         if r.read_p99 <= p99_budget_ms then go rate acc rest
         else (sustained, List.rev acc)
@@ -184,10 +205,11 @@ let json_of_run (r : run) =
      \"issued\":%d,\"drops\":%d,\"completed\":%d,\"ops_per_sec\":%.1f,\
      \"local_reads\":%d,\"local_nacks\":%d,\
      \"read_p50_ms\":%.4f,\"read_p99_ms\":%.4f,\"read_p999_ms\":%.4f,\
+     \"learner_cpu_pct\":%.2f,\"worker_util_pct\":%.2f,\
      \"classes\":[%s]}"
     (Kv.Ycsb.name r.preset) r.leases r.workers r.rate r.issued r.drops
     r.completed r.ops_per_sec r.local_reads r.local_nacks r.read_p50
-    r.read_p99 r.read_p999
+    r.read_p99 r.read_p999 r.learner_cpu_pct r.worker_util_pct
     (String.concat "," (List.map Kv.Slo.json_row r.rows))
 
 let run () =
@@ -196,8 +218,8 @@ let run () =
   Util.header
     (Printf.sprintf "Sustained YCSB-C throughput at read p99 <= %.1f ms"
        p99_budget_ms);
-  Printf.printf "%-7s %12s %12s %10s %10s\n" "tier" "offered" "ops/s"
-    "p99(ms)" "drops";
+  Printf.printf "%-7s %12s %12s %10s %10s %8s %8s\n" "tier" "offered" "ops/s"
+    "p99(ms)" "drops" "lrn-cpu%" "workers%";
   let sustained_on, ladder_on = ladder true in
   let sustained_off, ladder_off = ladder false in
   Printf.printf

@@ -397,28 +397,33 @@ let issue t (a : OL.arrival) =
 
 (* --- replica-side handlers (local reads, write acks) --------------------------- *)
 
+(* A lease-covered read runs as a read-only command on the holder's
+   executor workers.  The lease check and the value are taken at arrival,
+   inside the read's [invocation, response] interval; the reply, sized
+   like the ordered path's, leaves when the worker finishes (unless the
+   replica crashed meanwhile). *)
 let serve_read t rep ~rid ~client ~lo ~hi =
   let e = rep.r_leases.(rep.r_idx) in
   let now = Simnet.now t.net in
   let proc = learner_proc t rep.r_idx in
   let valid = t.broken_leases || now < e.ls_until in
-  let covered = Btree.Keyset.subset (Btree.Keyset.range ~lo ~hi) e.ls_keys in
-  if t.cfg.leases && valid && covered then begin
+  let keys = Btree.Keyset.range ~lo ~hi in
+  if t.cfg.leases && valid && Btree.Keyset.subset keys e.ls_keys then begin
     Protocol.Counters.incr t.ctrs "kv_local_reads";
-    let oc =
-      rep.r_svc.Smr.Btree_service.service.Smr.Service.execute
-        (Smr.Btree_service.Query { lo; hi })
-    in
+    let op = Smr.Btree_service.Query { lo; hi } in
     let obs =
       if lo = hi then Btree.find rep.r_svc.Smr.Btree_service.tree lo else None
     in
+    let fin = Psmr.Executor.read (exec_of rep) ~now ~reads:keys op in
     trace t (fun tr ->
         Trace.span tr ~pid:(Simnet.pid proc) ~cat:"lease" ~name:"local-read"
-          ~ts:now ~dur:oc.Smr.Service.cost);
-    Simnet.exec t.net proc ~dur:oc.Smr.Service.cost (fun () ->
-        Simnet.send t.net ~src:proc ~dst:(client_proc t client)
-          ~size:oc.Smr.Service.resp_size
-          (KReadResp { rid; ok = true; obs }))
+          ~ts:now ~dur:(fin -. now));
+    ignore
+      (Sim.Engine.at (Simnet.engine t.net) ~time:fin (fun () ->
+           if Simnet.is_alive proc then
+             Simnet.send t.net ~src:proc ~dst:(client_proc t client)
+               ~size:(resp_size_of op)
+               (KReadResp { rid; ok = true; obs })))
   end
   else begin
     Protocol.Counters.incr t.ctrs "kv_local_nacks";
@@ -653,6 +658,9 @@ let executed t =
 
 let rollbacks t =
   Array.fold_left (fun acc rep -> acc + Psmr.Executor.rollbacks (exec_of rep)) 0 t.reps
+
+let worker_utilization t ~replica ~from ~till =
+  Psmr.Executor.utilization (exec_of t.reps.(replica)) ~from ~till
 
 let kill_coordinator t = Multiring.kill_ring_coordinator (the_mr t) 0
 

@@ -9,7 +9,9 @@
       every log position;
     - a lease holder answers single-key reads {e locally}, without a
       consensus round, while its own lease is valid and covers the keys
-      ({!Btree.Keyset.subset});
+      ({!Btree.Keyset.subset}); the read runs as a read-only command on
+      the holder's executor workers ({!Psmr.Executor.read}) and its reply
+      is sized like the ordered path's;
     - a conflicting write {e invalidates} overlapping leases when applied
       (the lease epoch bumps), and the write's client response is held
       until every other replica holding a covering lease has acknowledged
@@ -109,6 +111,10 @@ val executed : t -> int
 (** Speculative re-executions ([Optimistic] executor), summed across
     replicas; always 0 under [Pessimistic]. *)
 val rollbacks : t -> int
+
+(** Mean executor-worker utilisation of [replica] over a window, percent
+    (ordered commands and lease-served reads alike). *)
+val worker_utilization : t -> replica:int -> from:float -> till:float -> float
 
 (** Crash the ring's current coordinator; a spare acceptor takes over and
     the service keeps serving. *)

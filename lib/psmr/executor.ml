@@ -32,7 +32,8 @@
 
    Per-stage spans — queue (dependency wait), dispatch (worker wait),
    execute, rollback, commit (in-order commit wait) — feed the lib/trace
-   latency decomposition when a tracer is installed. *)
+   latency decomposition when a tracer is installed.  Read-only commands
+   ([read]) share the workers but emit no spans and never commit. *)
 
 type mode = Pessimistic | Optimistic
 
@@ -48,7 +49,6 @@ type inflight = {
   i_writes : Btree.Keyset.t;
   i_reads : Btree.Keyset.t;
   i_fin : float;
-  i_commit : float;
 }
 
 type t = {
@@ -104,6 +104,29 @@ let commit_in_order t fin =
   t.last_commit <- commit;
   commit
 
+(* When every active command conflicting with [reads]/[writes] has
+   finished. *)
+let deps_done t ~now ~reads ~writes =
+  List.fold_left
+    (fun acc e ->
+      if
+        e.i_fin > acc
+        && Btree.Keyset.conflict ~r1:reads ~w1:writes ~r2:e.i_reads
+             ~w2:e.i_writes
+      then e.i_fin
+      else acc)
+    now t.active
+
+(* Execute [op] on the earliest-free worker, no earlier than [ready]. *)
+let run_on_worker t ~ready op =
+  let w = argmin_free t in
+  let start = Stdlib.max ready t.workers.(w) in
+  let o = t.service.execute op in
+  let fin = start +. o.Smr.Service.cost in
+  t.workers.(w) <- fin;
+  Sim.Stats.Busy.add ~at:start t.busy o.cost;
+  (start, o, fin)
+
 let submit t ~now ~uid ~reads ~writes op =
   t.clock <- Stdlib.max t.clock now;
   let now = t.clock in
@@ -112,23 +135,8 @@ let submit t ~now ~uid ~reads ~writes op =
     match t.mode with
     | Pessimistic ->
         (* Dispatch once every conflicting predecessor has finished. *)
-        let ready =
-          List.fold_left
-            (fun acc e ->
-              if
-                e.i_fin > acc
-                && Btree.Keyset.conflict ~r1:reads ~w1:writes ~r2:e.i_reads
-                     ~w2:e.i_writes
-              then e.i_fin
-              else acc)
-            now t.active
-        in
-        let w = argmin_free t in
-        let start = Stdlib.max ready t.workers.(w) in
-        let o = t.service.execute op in
-        let fin = start +. o.cost in
-        t.workers.(w) <- fin;
-        Sim.Stats.Busy.add ~at:start t.busy o.cost;
+        let ready = deps_done t ~now ~reads ~writes in
+        let start, o, fin = run_on_worker t ~ready op in
         let commit = commit_in_order t fin in
         span t ~id:uid ~cat:"queue" ~name:"dep-wait" ~ts:now ~dur:(ready -. now);
         span t ~id:uid ~cat:"dispatch" ~name:"worker-wait" ~ts:ready ~dur:(start -. ready);
@@ -181,10 +189,24 @@ let submit t ~now ~uid ~reads ~writes op =
   in
   t.executed <- t.executed + 1;
   t.active <-
-    { i_reads = reads; i_writes = writes; i_fin = report.r_fin;
-      i_commit = report.r_commit }
-    :: t.active;
+    { i_reads = reads; i_writes = writes; i_fin = report.r_fin } :: t.active;
   report
+
+(* A read-only command: no ordering among reads and no in-order commit
+   (P-SMR, arXiv 1311.6183).  It runs on the earliest-free worker once
+   every in-flight writer of its keys has finished, and stays in [active]
+   with an empty write set so that later conflicting writes wait for it
+   under [Pessimistic]; under [Optimistic] it can never make a command's
+   reads stale, so it never causes a rollback. *)
+let read t ~now ~reads op =
+  t.clock <- Stdlib.max t.clock now;
+  let now = t.clock in
+  prune t;
+  let ready = deps_done t ~now ~reads ~writes:Btree.Keyset.empty in
+  let _, _, fin = run_on_worker t ~ready op in
+  t.active <-
+    { i_reads = reads; i_writes = Btree.Keyset.empty; i_fin = fin } :: t.active;
+  fin
 
 let executed t = t.executed
 let rollbacks t = t.rollbacks

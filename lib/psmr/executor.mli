@@ -43,6 +43,15 @@ val submit :
   Simnet.payload ->
   report
 
+(** [read t ~now ~reads op] runs the read-only command [op] on the
+    earliest-free worker once every in-flight write to [reads] has
+    finished, and returns its finish time.  Reads are not ordered among
+    themselves: they skip in-order commit and leave {!executed},
+    {!rollbacks}, {!conflicts} and {!last_commit} unchanged.  Later
+    conflicting writes wait for the read under [Pessimistic]; under
+    [Optimistic] a read never triggers a rollback.  No stage spans. *)
+val read : t -> now:float -> reads:Btree.Keyset.t -> Simnet.payload -> float
+
 val executed : t -> int
 
 (** Commands that were rolled back and re-executed (counted once per

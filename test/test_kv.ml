@@ -253,6 +253,59 @@ let test_kv_open_loop_drop_accounting () =
   Alcotest.(check bool) "completions bounded by issued" true
     (Kv.completed sys <= Kv.issued sys)
 
+(* YCSB-C with leases on: lease-served point reads run on the executor
+   workers, not the learner CPU, and answer with the same 256 B reply as
+   an ordered point read (not the 8 KB range-query page). *)
+let ycsb_c_run ~rate ~until ~tap =
+  let engine, _net, sys = mk () in
+  for c = 0 to 3 do
+    let p = Kv.client_proc sys c in
+    let prev = Simnet.handler_of p in
+    Simnet.set_handler p (fun m ->
+        tap m;
+        prev m)
+  done;
+  let wl = Kv.Ycsb.workload Kv.Ycsb.C (Sim.Rng.create 8) ~rate:(OL.Constant rate) in
+  Kv.start_open sys wl ~until;
+  Sim.Engine.run engine ~until:(until +. 0.5);
+  (sys, wl)
+
+let test_kv_local_read_reply_size () =
+  let local = ref [] and ordered = ref [] in
+  let tap (m : Simnet.msg) =
+    match m.Simnet.payload with
+    | Kv.KReadResp { ok = true; _ } -> local := m.Simnet.size :: !local
+    | Kv.KResp _ -> ordered := m.Simnet.size :: !ordered
+    | _ -> ()
+  in
+  let sys, wl = ycsb_c_run ~rate:5_000.0 ~until:0.3 ~tap in
+  Alcotest.(check int) "every op answered" (OL.generated wl) (Kv.completed sys);
+  Alcotest.(check bool) "both read paths used" true
+    (!local <> [] && !ordered <> []);
+  Alcotest.(check (list int)) "ordered point reads answer 256 B" []
+    (List.filter (( <> ) 256) !ordered);
+  Alcotest.(check (list int)) "local point reads answer like ordered ones" []
+    (List.filter (( <> ) 256) !local)
+
+let test_kv_local_reads_spare_learner_cpu () =
+  let until = 0.5 in
+  let sys, wl = ycsb_c_run ~rate:20_000.0 ~until ~tap:ignore in
+  Alcotest.(check int) "every op answered" (OL.generated wl) (Kv.completed sys);
+  Alcotest.(check bool) "mostly local" true
+    (Kv.counter sys "kv_local_reads" > OL.generated wl * 9 / 10);
+  for r = 0 to 2 do
+    let cpu =
+      Sim.Stats.Busy.utilization
+        (Simnet.cpu_busy (Simnet.proc_node (Kv.replica_proc sys r)))
+        ~from:0.0 ~till:until
+    in
+    let workers = Kv.worker_utilization sys ~replica:r ~from:0.0 ~till:until in
+    if cpu >= 25.0 then
+      Alcotest.failf "learner %d CPU %.1f%% at 20k reads/s" r cpu;
+    if workers <= 0.0 then
+      Alcotest.failf "replica %d workers idle (%.1f%%)" r workers
+  done
+
 let test_slo_percentiles () =
   let slo = Kv.Slo.create () in
   for i = 1 to 1000 do
@@ -292,6 +345,10 @@ let suite =
       test_kv_executor_modes;
     Alcotest.test_case "kv optimistic executor with leases" `Quick
       test_kv_optimistic_with_leases;
+    Alcotest.test_case "kv local read reply size" `Quick
+      test_kv_local_read_reply_size;
+    Alcotest.test_case "kv local reads spare learner cpu" `Quick
+      test_kv_local_reads_spare_learner_cpu;
     Alcotest.test_case "kv open-loop drive" `Quick test_kv_open_loop_drive;
     Alcotest.test_case "kv open-loop drop accounting" `Quick
       test_kv_open_loop_drop_accounting ]

@@ -350,6 +350,113 @@ let prop_executor_modes_agree =
       Smr.Btree_service.fingerprint p = seq
       && Smr.Btree_service.fingerprint o = seq)
 
+(* --- read-only commands ------------------------------------------------------ *)
+
+(* Long updates, short point reads, no per-command overhead: a read's
+   finish time is [start + read_cost] exactly. *)
+let read_cost = 1e-5
+let write_cost = 1e-3
+
+let read_exec ?(n_workers = 2) ?(query_base = read_cost) mode =
+  let costs =
+    { Smr.Btree_service.default_costs with
+      update_cost = write_cost;
+      query_base;
+      query_per_key = 0.0;
+      cmd_overhead = 0.0 }
+  in
+  let svc =
+    Smr.Btree_service.create ~costs ~initial_keys:100 ~key_range:1_000 ~seed:1 ()
+  in
+  (Ex.create ~mode ~n_workers svc.Smr.Btree_service.service, svc)
+
+let write ex ~now ~uid key =
+  let ks = Btree.Keyset.singleton key in
+  Ex.submit ex ~now ~uid ~reads:ks ~writes:ks
+    (Smr.Btree_service.Insert { key; value = uid })
+
+let read ex ~now key =
+  Ex.read ex ~now ~reads:(Btree.Keyset.singleton key)
+    (Smr.Btree_service.Query { lo = key; hi = key })
+
+let both_modes f = List.iter f [ Ex.Pessimistic; Ex.Optimistic ]
+
+let feq = Alcotest.float 1e-12
+
+let test_read_skips_commit_order () =
+  both_modes (fun mode ->
+      let ex, _ = read_exec mode in
+      let w = write ex ~now:0.0 ~uid:1 1 in
+      let fin = read ex ~now:1e-4 2 in
+      Alcotest.check feq "read runs at once on the free worker"
+        (1e-4 +. read_cost) fin;
+      Alcotest.(check bool) "finishes before the earlier write commits" true
+        (fin < w.Ex.r_commit);
+      Alcotest.check feq "last commit untouched" w.Ex.r_commit
+        (Ex.last_commit ex))
+
+let test_read_waits_for_inflight_write () =
+  both_modes (fun mode ->
+      let ex, _ = read_exec mode in
+      let w = write ex ~now:0.0 ~uid:1 1 in
+      Alcotest.check feq "read waits for the writer of its key"
+        (w.Ex.r_fin +. read_cost)
+        (read ex ~now:1e-4 1))
+
+let test_pessimistic_write_waits_for_read () =
+  (* A 1 ms range read of keys 1..1: the later write to key 1 starts when
+     it finishes, a write to another key on the other worker at once. *)
+  let ex, _ = read_exec ~query_base:write_cost Ex.Pessimistic in
+  let fin = read ex ~now:0.0 1 in
+  let w = write ex ~now:1e-4 ~uid:1 1 in
+  Alcotest.check feq "conflicting write starts at the read's finish" fin
+    w.Ex.r_start;
+  let ex, _ = read_exec ~query_base:write_cost Ex.Pessimistic in
+  ignore (read ex ~now:0.0 1);
+  let w = write ex ~now:1e-4 ~uid:1 2 in
+  Alcotest.check feq "independent write does not wait" 1e-4 w.Ex.r_start
+
+let test_reads_leave_counters () =
+  both_modes (fun mode ->
+      let ex, svc = read_exec mode in
+      let keys = hot_stream ~hot_pct:60 11 in
+      Array.iteri
+        (fun i key -> ignore (write ex ~now:(float_of_int i *. 1e-4) ~uid:i key))
+        keys;
+      let snap () =
+        ( Ex.executed ex,
+          Ex.rollbacks ex,
+          Ex.conflicts ex,
+          Ex.last_commit ex,
+          Smr.Btree_service.fingerprint svc )
+      in
+      let before = snap () in
+      let now = float_of_int (Array.length keys) *. 1e-4 in
+      Array.iter (fun key -> ignore (read ex ~now key)) keys;
+      Alcotest.(check bool) "executed/rollbacks/conflicts/last_commit/state"
+        true
+        (before = snap ()))
+
+let test_optimistic_reads_never_roll_back () =
+  (* Two long reads of key 1 run on two of four workers; a
+     read-modify-write of key 1 then executes speculatively on a third
+     while they run.  Reads write nothing, so nothing it read can be
+     stale.  The same schedule with writes in place of the reads does roll
+     back. *)
+  let run ~with_reads =
+    let ex, _ = read_exec ~n_workers:4 ~query_base:write_cost Ex.Optimistic in
+    for i = 0 to 1 do
+      if with_reads then ignore (read ex ~now:0.0 1)
+      else ignore (write ex ~now:0.0 ~uid:(100 + i) 1)
+    done;
+    let w = write ex ~now:1e-4 ~uid:1 1 in
+    (Ex.rollbacks ex, w.Ex.r_rollbacks)
+  in
+  Alcotest.(check (pair int int)) "no rollback behind reads" (0, 0)
+    (run ~with_reads:true);
+  Alcotest.(check bool) "rollback behind writes" true
+    (fst (run ~with_reads:false) > 0)
+
 let suite =
   suite
   @ [ Alcotest.test_case "uid roundtrip, wide origins" `Quick
@@ -370,4 +477,14 @@ let suite =
         test_executor_rollback_safety;
       Alcotest.test_case "executor: rollback determinism" `Quick
         test_executor_rollback_determinism;
-      QCheck_alcotest.to_alcotest prop_executor_modes_agree ]
+      QCheck_alcotest.to_alcotest prop_executor_modes_agree;
+      Alcotest.test_case "executor: read skips commit order" `Quick
+        test_read_skips_commit_order;
+      Alcotest.test_case "executor: read waits for in-flight write" `Quick
+        test_read_waits_for_inflight_write;
+      Alcotest.test_case "executor: pessimistic write waits for read" `Quick
+        test_pessimistic_write_waits_for_read;
+      Alcotest.test_case "executor: reads leave counters" `Quick
+        test_reads_leave_counters;
+      Alcotest.test_case "executor: optimistic reads never roll back" `Quick
+        test_optimistic_reads_never_roll_back ]
