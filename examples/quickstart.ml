@@ -1,5 +1,5 @@
 (* Quickstart: a replicated key-value service driven by a YCSB workload.
-   Every replica orders commands through Multi-Ring Paxos, executes them
+   Every replica orders commands through M-Ring Paxos, executes them
    on a parallel executor over its own B+-tree, and serves single-key
    reads locally while it holds a lease.
 

@@ -55,8 +55,8 @@ module Psmr = Psmr
 (** Parallel SMR (Ch. 6). *)
 
 module Kv = Kv
-(** The replicated key-value service over the full stack (Multi-Ring
-    Paxos, parallel executor, B+-tree) with lease-based local reads and
+(** The replicated key-value service over the full stack (M-Ring Paxos,
+    parallel executor, B+-tree) with lease-based local reads and
     YCSB workloads. *)
 
 module Cloud = Cloud

@@ -29,12 +29,8 @@ let default_config =
     key_range = 100_000;
     record_history = false }
 
-(* Multi-Ring merge parameters (skip rate, skip interval, merge batch) for
-   the single ring, and the slack past a lease's expiry before a write is
-   answered without that holder's ack. *)
-let lambda = 50_000.0
-let delta = 1.0e-3
-let merge_m = 8
+(* Slack past a lease's expiry before a write is answered without that
+   holder's ack. *)
 let lease_margin = 1.0e-3
 
 type Simnet.payload +=
@@ -96,7 +92,7 @@ type t = {
   net : Simnet.t;
   cfg : config;
   n_clients : int;
-  mutable mr : Multiring.t option;
+  mutable mr : Ringpaxos.Mring.t option;
   reps : replica array;
   ctrs : Protocol.Counters.t;
   slo : Slo.t;
@@ -124,9 +120,9 @@ let the_mr t = match t.mr with Some m -> m | None -> assert false
 let responder_replica t uid =
   Paxos.Value.uid_seq uid mod t.cfg.n_replicas
 
-let learner_proc t r = Multiring.learner_proc (the_mr t) r
+let learner_proc t r = Ringpaxos.Mring.learner_proc (the_mr t) r
 
-let client_proc t c = Multiring.proposer_proc (the_mr t) ~group:0 ~proposer:c
+let client_proc t c = Ringpaxos.Mring.proposer_proc (the_mr t) c
 
 let trace t f =
   match Simnet.tracer t.net with Some tr -> f tr | None -> ()
@@ -238,8 +234,8 @@ let apply_op t rep (it : Paxos.Value.item) ~op ~reads ~writes =
              ~dst:(learner_proc t responder) ~size:64
              (KWAck { uid; replica = rep.r_idx })));
   if mine then begin
-    let client = Paxos.Value.uid_origin uid - 1 in
-    if client >= 0 && client < t.n_clients then begin
+    let client = Paxos.Value.uid_origin uid in
+    if client < t.n_clients then begin
       let size = resp_size_of op in
       let commit = r.Psmr.Executor.r_commit in
       let need = List.filter (fun (j, _) -> j <> rep.r_idx) !holders in
@@ -290,7 +286,7 @@ let apply_op t rep (it : Paxos.Value.item) ~op ~reads ~writes =
     end
   end
 
-let deliver t ~learner ~group:_ (it : Paxos.Value.item) =
+let deliver t ~learner (it : Paxos.Value.item) =
   let rep = t.reps.(learner) in
   (match t.on_deliver with
   | Some f -> f ~replica:learner ~uid:it.Paxos.Value.uid
@@ -322,7 +318,7 @@ let ordered_issue t ~born (a : OL.arrival) =
   let c = t.rr mod t.n_clients in
   t.rr <- t.rr + 1;
   let uid =
-    Multiring.multicast (the_mr t) ~group:0 ~proposer:c ~size:a.OL.size
+    Ringpaxos.Mring.submit (the_mr t) ~proposer:c ~size:a.OL.size
       (KOp { op = a.OL.op; reads = a.OL.reads; writes = a.OL.writes })
   in
   if uid < 0 then begin
@@ -539,20 +535,17 @@ let create ?on_broadcast ?on_deliver net cfg ~n_clients =
       on_broadcast;
       on_deliver }
   in
-  let mcfg =
-    { Multiring.ring = cfg.ring;
-      n_rings = 1;
-      n_groups = 0;
-      lambda;
-      delta;
-      m = merge_m;
-      buffer_items = 500_000 }
-  in
+  (* Proposers [0, n_clients) are the clients; [n_clients + r] is replica
+     [r]'s lease-renewal proposer. *)
   let mr =
-    Multiring.create net mcfg ~n_learners:cfg.n_replicas
-      ~subs:(fun _ -> [ 0 ])
-      ~proposers_per_ring:(n_clients + cfg.n_replicas)
-      ~deliver:(fun ~learner ~group it -> deliver t ~learner ~group it)
+    Ringpaxos.Mring.create net cfg.ring
+      ~n_proposers:(n_clients + cfg.n_replicas)
+      ~n_learners:cfg.n_replicas
+      ~learner_parts:(fun _ -> [ 0 ])
+      ~deliver:(fun ~learner ~inst:_ v ->
+        Option.iter
+          (fun (v : Paxos.Value.t) -> List.iter (deliver t ~learner) v.items)
+          v)
   in
   t.mr <- Some mr;
   Array.iter
@@ -561,7 +554,7 @@ let create ?on_broadcast ?on_deliver net cfg ~n_clients =
         Some
           (Psmr.Executor.create
              ?tracer:(Simnet.tracer net)
-             ~pid:(Simnet.pid (Multiring.learner_proc mr rep.r_idx))
+             ~pid:(Simnet.pid (Ringpaxos.Mring.learner_proc mr rep.r_idx))
              ~mode:cfg.executor ~n_workers:cfg.n_workers
              rep.r_svc.Smr.Btree_service.service))
     t.reps;
@@ -569,7 +562,7 @@ let create ?on_broadcast ?on_deliver net cfg ~n_clients =
      the learner process, chained in front of the ring's own handler. *)
   Array.iter
     (fun rep ->
-      let p = Multiring.learner_proc mr rep.r_idx in
+      let p = Ringpaxos.Mring.learner_proc mr rep.r_idx in
       let prev = Simnet.handler_of p in
       Simnet.set_handler p (fun m ->
           match m.Simnet.payload with
@@ -578,9 +571,9 @@ let create ?on_broadcast ?on_deliver net cfg ~n_clients =
           | KWAck { uid; replica } -> handle_wack t ~uid ~replica
           | _ -> prev m))
     t.reps;
-  (* Client handlers on the ring-0 proposer processes. *)
+  (* Client handlers on the client proposer processes. *)
   for c = 0 to n_clients - 1 do
-    let p = Multiring.proposer_proc mr ~group:0 ~proposer:c in
+    let p = Ringpaxos.Mring.proposer_proc mr c in
     let prev = Simnet.handler_of p in
     Simnet.set_handler p (fun m -> handle_client_msg t m prev)
   done;
@@ -601,8 +594,8 @@ let start_leases t ~until =
           let now = Simnet.now t.net in
           if now <= until then begin
             let uid =
-              Multiring.multicast (the_mr t) ~group:0
-                ~proposer:(t.n_clients + r) ~size:64
+              Ringpaxos.Mring.submit (the_mr t) ~proposer:(t.n_clients + r)
+                ~size:64
                 (KGrant
                    { replica = r;
                      keys = Btree.Keyset.full;
@@ -649,9 +642,7 @@ let counters t = Protocol.Counters.snapshot t.ctrs
 let counter t name = Protocol.Counters.get t.ctrs name
 let issued t = t.issued
 let drops t = t.drops
-let inflight_count t = Hashtbl.length t.inflight
 let pending_writes t = Hashtbl.length t.wpend
-let pending_local_reads t = Hashtbl.length t.pending_reads
 
 let executed t =
   Array.fold_left (fun acc rep -> acc + Psmr.Executor.executed (exec_of rep)) 0 t.reps
@@ -662,13 +653,9 @@ let rollbacks t =
 let worker_utilization t ~replica ~from ~till =
   Psmr.Executor.utilization (exec_of t.reps.(replica)) ~from ~till
 
-let kill_coordinator t = Multiring.kill_ring_coordinator (the_mr t) 0
+let kill_coordinator t = Ringpaxos.Mring.kill_coordinator (the_mr t)
 
 let state_fingerprint_at t r = Smr.Btree_service.fingerprint t.reps.(r).r_svc
-
-let lease_valid t ~replica =
-  let e = t.reps.(replica).r_leases.(replica) in
-  Simnet.now t.net < e.ls_until
 
 let lease_epoch t ~replica = t.reps.(replica).r_leases.(replica).ls_epoch
 

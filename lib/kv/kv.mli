@@ -1,6 +1,6 @@
 (** A replicated key-value service over the full stack — client proxy →
-    {!Protocol.Batcher} (inside the ring proposers) → Multi-Ring ordered
-    delivery → {!Psmr.Executor} dependency-aware execution →
+    {!Protocol.Batcher} (inside the ring proposers) → {!Ringpaxos.Mring}
+    ordered delivery → {!Psmr.Executor} dependency-aware execution →
     {!Smr.Btree_service} storage — plus a lease-based read-serving tier:
 
     - every replica periodically proposes itself a {e lease} through the
@@ -98,12 +98,8 @@ val issued : t -> int
 (** Ordered-path commands dropped by a full proposer window. *)
 val drops : t -> int
 
-val inflight_count : t -> int
-
 (** Write responses still deferred on lease acknowledgements. *)
 val pending_writes : t -> int
-
-val pending_local_reads : t -> int
 
 (** Commands executed, summed across replicas. *)
 val executed : t -> int
@@ -122,9 +118,6 @@ val kill_coordinator : t -> unit
 
 (** Fingerprint of replica [r]'s btree (replicas must agree). *)
 val state_fingerprint_at : t -> int -> int
-
-(** Whether [replica]'s own lease is currently valid by its own view. *)
-val lease_valid : t -> replica:int -> bool
 
 (** Conflicting-write invalidations [replica] has applied to its own
     lease. *)

@@ -306,6 +306,33 @@ let test_kv_local_reads_spare_learner_cpu () =
       Alcotest.failf "replica %d workers idle (%.1f%%)" r workers
   done
 
+(* An idle deployment (leases off, no arrivals) pays only ring
+   housekeeping: no consensus round runs while nothing is proposed. *)
+let test_kv_idle_ring_quiet () =
+  let config = { Kv.default_config with leases = false } in
+  let engine, net, sys = mk ~config () in
+  let received () =
+    let rec go pid acc =
+      match Simnet.proc_of net pid with
+      | p -> go (pid + 1) (acc + Sim.Stats.Rate.events (Simnet.recv_rate p))
+      | exception Invalid_argument _ -> acc
+    in
+    go 0 0
+  in
+  let from = 0.5 and till = 1.5 in
+  Sim.Engine.run engine ~until:from;
+  let before = received () in
+  Sim.Engine.run engine ~until:till;
+  let msgs = received () - before in
+  if msgs >= 1_000 then Alcotest.failf "idle ring received %d messages in 1 s" msgs;
+  let cpu =
+    Sim.Stats.Busy.utilization
+      (Simnet.cpu_busy (Simnet.proc_node (Kv.replica_proc sys 0)))
+      ~from ~till
+  in
+  if cpu >= 0.1 then Alcotest.failf "idle learner CPU %.3f%%" cpu;
+  Alcotest.(check int) "nothing executed" 0 (Kv.executed sys)
+
 let test_slo_percentiles () =
   let slo = Kv.Slo.create () in
   for i = 1 to 1000 do
@@ -349,6 +376,7 @@ let suite =
       test_kv_local_read_reply_size;
     Alcotest.test_case "kv local reads spare learner cpu" `Quick
       test_kv_local_reads_spare_learner_cpu;
+    Alcotest.test_case "kv idle ring is quiet" `Quick test_kv_idle_ring_quiet;
     Alcotest.test_case "kv open-loop drive" `Quick test_kv_open_loop_drive;
     Alcotest.test_case "kv open-loop drop accounting" `Quick
       test_kv_open_loop_drop_accounting ]
