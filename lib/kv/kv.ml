@@ -16,10 +16,18 @@ type config = {
   record_history : bool;
 }
 
+(* Intake credit: each proposer may keep [proposer_buffer] undecided bytes,
+   and the proxy sheds arrivals past it ([drops]).  With the ring's 16 MB
+   a saturated coordinator's receive CPU fills with [Propose]s, the [P2b]
+   closing each window instance queues behind them, and ordering collapses.
+   The coordinator's own pipeline, [window] x [batch_bytes], split over
+   the 4 client proxies, holds ordering at its bound and never binds below
+   the knee. *)
 let default_config =
+  let ring = Ringpaxos.Mring.default_config in
   { n_replicas = 3;
     n_workers = 2;
-    ring = Ringpaxos.Mring.default_config;
+    ring = { ring with proposer_buffer = ring.window * ring.batch_bytes / 4 };
     executor = Psmr.Executor.Pessimistic;
     leases = true;
     lease_dur = 0.5;
@@ -640,6 +648,7 @@ let completed t =
 
 let counters t = Protocol.Counters.snapshot t.ctrs
 let counter t name = Protocol.Counters.get t.ctrs name
+let ring_counters t = Ringpaxos.Mring.counters (the_mr t)
 let issued t = t.issued
 let drops t = t.drops
 let pending_writes t = Hashtbl.length t.wpend

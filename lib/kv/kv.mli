@@ -34,6 +34,8 @@ type config = {
   n_replicas : int;
   n_workers : int;  (** executor worker threads per replica *)
   ring : Ringpaxos.Mring.config;
+      (** the default's [proposer_buffer] is the coordinator's pipeline,
+          [window * batch_bytes], split over 4 client proxies *)
   executor : Psmr.Executor.mode;
       (** [Pessimistic] dispatches each command once its conflicting
           predecessors finish (arXiv 1311.6183); [Optimistic] executes
@@ -92,10 +94,14 @@ val counters : t -> (string * int) list
 
 val counter : t -> string -> int
 
+(** The ring's own protocol counters ({!Ringpaxos.Mring.counters}). *)
+val ring_counters : t -> (string * int) list
+
 (** Ordered-path commands accepted by a proposer. *)
 val issued : t -> int
 
-(** Ordered-path commands dropped by a full proposer window. *)
+(** Ordered-path arrivals shed at the proxy because the proposer's intake
+    credit ([ring.proposer_buffer]) was spent; never recorded in {!slo}. *)
 val drops : t -> int
 
 (** Write responses still deferred on lease acknowledgements. *)

@@ -999,6 +999,7 @@ let prop_resubmission t p =
            | Some c ->
                Retry.iter_due p.p_pending ~now:(Simnet.now t.net) ~older_than:0.5
                  (fun _uid (it, parts) ->
+                   dbg t "resubmit_items";
                    Simnet.send t.net ~src:p.p_proc ~dst:c.x_proc
                      ~size:(it.Paxos.Value.isize + hdr) (Propose { item = it; parts }))
            | None -> ()))
@@ -1370,6 +1371,7 @@ let prop_handler t p (m : Simnet.msg) =
       (* Resubmit everything not yet acknowledged to the new coordinator. *)
       Retry.iter p.p_pending (fun uid (it, parts) ->
           Retry.touch p.p_pending ~now:(Simnet.now t.net) uid;
+          dbg t "resubmit_items";
           Simnet.send t.net ~src:p.p_proc ~dst:t.accs.(acc).x_proc
             ~size:(it.Paxos.Value.isize + hdr)
             (Propose { item = it; parts }))

@@ -117,7 +117,9 @@ val coord_drops : t -> int
 val debug_dump : t -> unit
 
 (** Protocol event counters accumulated since startup, per instance
-    (sorted name/count pairs; see {!Protocol.Counters}). *)
+    (sorted name/count pairs; see {!Protocol.Counters}).  [resubmit_items]
+    counts proposals re-sent by proposers, on the 0.5 s resubmission timer
+    or to a newly announced coordinator. *)
 val counters : t -> (string * int) list
 
 (** Disk attached to acceptor position [i] of the ring (durable modes). *)

@@ -75,7 +75,15 @@ let test_kv_survives_coordinator_crash () =
   in
   Alcotest.(check bool) "post-failover reads see writes" true (late_reads <> []);
   Alcotest.(check int) "every op answered" (OL.generated wl) (Kv.completed kv);
-  Alcotest.(check bool) "linearizable" true (Kv.check_history kv)
+  Alcotest.(check bool) "linearizable" true (Kv.check_history kv);
+  (* Ops submitted while no coordinator ran reach the new one by
+     resubmission, and the ring counts them. *)
+  let resubmitted =
+    Option.value ~default:0 (List.assoc_opt "resubmit_items" (Kv.ring_counters kv))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "resubmissions counted (%d)" resubmitted)
+    true (resubmitted > 0)
 
 let test_env_determinism () =
   let run () =

@@ -253,6 +253,42 @@ let test_kv_open_loop_drop_accounting () =
   Alcotest.(check bool) "completions bounded by issued" true
     (Kv.completed sys <= Kv.issued sys)
 
+(* Past the knee the ordered path holds its ordering rate instead of
+   collapsing: the intake credit sheds what the ring cannot order, so the
+   coordinator's receive CPU keeps serving Phase 2 and nothing is
+   resubmitted.  YCSB-A, leases off, at 240k ops/s (about twice the
+   122k ops/s knee). *)
+let test_kv_ordered_plateau () =
+  let config = { Kv.default_config with leases = false } in
+  let engine, _net, sys = mk ~config ~seed:1 () in
+  let wl = Kv.Ycsb.workload Kv.Ycsb.A (Sim.Rng.create 2) ~rate:(OL.Constant 240_000.0) in
+  let until = 0.5 and step = 0.125 in
+  Kv.start_open sys wl ~until;
+  let prev = ref 0 in
+  for w = 1 to 4 do
+    Sim.Engine.run engine ~until:(float_of_int w *. step);
+    let done_ = Kv.completed sys in
+    (* 0.8 of the knee's share of one window *)
+    if done_ - !prev < 12_200 then
+      Alcotest.failf "window %d completed %d ops" w (done_ - !prev);
+    prev := done_
+  done;
+  Sim.Engine.run engine ~until:(until +. 0.5);
+  Alcotest.(check bool)
+    (Printf.sprintf "arrivals shed (%d)" (Kv.drops sys))
+    true (Kv.drops sys > 0);
+  Alcotest.(check int) "generated = issued + drops" (OL.generated wl)
+    (Kv.issued sys + Kv.drops sys);
+  Alcotest.(check int) "every issued op answered" (Kv.issued sys) (Kv.completed sys);
+  for r = 1 to 2 do
+    Alcotest.(check int)
+      (Printf.sprintf "replica %d fingerprint" r)
+      (Kv.state_fingerprint_at sys 0)
+      (Kv.state_fingerprint_at sys r)
+  done;
+  Alcotest.(check (option int)) "no resubmissions" None
+    (List.assoc_opt "resubmit_items" (Kv.ring_counters sys))
+
 (* YCSB-C with leases on: lease-served point reads run on the executor
    workers, not the learner CPU, and answer with the same 256 B reply as
    an ordered point read (not the 8 KB range-query page). *)
@@ -379,4 +415,6 @@ let suite =
     Alcotest.test_case "kv idle ring is quiet" `Quick test_kv_idle_ring_quiet;
     Alcotest.test_case "kv open-loop drive" `Quick test_kv_open_loop_drive;
     Alcotest.test_case "kv open-loop drop accounting" `Quick
-      test_kv_open_loop_drop_accounting ]
+      test_kv_open_loop_drop_accounting;
+    Alcotest.test_case "kv ordered path plateaus past the knee" `Quick
+      test_kv_ordered_plateau ]
