@@ -397,6 +397,32 @@ module Keyset = struct
     in
     go 0 0
 
+  (* [diff a b]: the keys of [a] outside [b], by one merge-walk.  Each range
+     of [a] is cut around the ranges of [b] that meet it; the pieces stay
+     ascending, disjoint and non-adjacent (two pieces of one range are
+     separated by a non-empty range of [b]), so the result is normalised.
+     [blo > lo] and [bhi < hi] guard the [- 1] / [+ 1] against overflow. *)
+  let diff (a : t) (b : t) =
+    if not (overlaps a b) then a
+    else begin
+      let nb = Array.length b in
+      let out = ref [] and j = ref 0 in
+      Array.iter
+        (fun (lo, hi) ->
+          while !j < nb && snd b.(!j) < lo do incr j done;
+          let rec cut lo k =
+            if k >= nb || fst b.(k) > hi then out := (lo, hi) :: !out
+            else begin
+              let blo, bhi = b.(k) in
+              if blo > lo then out := (lo, blo - 1) :: !out;
+              if bhi < hi then cut (bhi + 1) (k + 1)
+            end
+          in
+          cut lo !j)
+        a;
+      Array.of_list (List.rev !out)
+    end
+
   (* Two commands conflict when one's writes intersect the other's reads or
      writes (read-read sharing is always safe). *)
   let conflict ~r1 ~w1 ~r2 ~w2 =

@@ -76,6 +76,10 @@ module Keyset : sig
       asks whether a read's key-set is covered by a held lease). *)
   val subset : t -> t -> bool
 
+  (** [diff a b] — the keys of [a] that are not in [b] (a write revokes
+      its keys from a held lease). *)
+  val diff : t -> t -> t
+
   (** [conflict ~r1 ~w1 ~r2 ~w2] — command 1 reads [r1] / writes [w1],
       command 2 reads [r2] / writes [w2]. *)
   val conflict : r1:t -> w1:t -> r2:t -> w2:t -> bool

@@ -43,22 +43,35 @@ let lease_margin = 1.0e-3
 
 type Simnet.payload +=
   | KOp of { op : Simnet.payload; reads : Btree.Keyset.t; writes : Btree.Keyset.t }
-  | KGrant of { replica : int; keys : Btree.Keyset.t; until : float }
+  | KGrant of { replica : int; keys : Btree.Keyset.t; until : float; seen : int }
   | KResp of { uid : int; obs : int option }
   | KWAck of { uid : int; replica : int }
   | KReadReq of { rid : int; client : int; lo : int; hi : int }
-  | KReadResp of { rid : int; ok : bool; obs : int option }
+  | KReadResp of { rid : int; ok : bool; held : bool; obs : int option }
 
 (* One replica's view of every replica's lease.  The table is log-driven
-   (grants and invalidations are ordered log entries applied identically
+   (grants and revocations are ordered log entries applied identically
    everywhere), so replicas agree on its state at every log position; only
    the wall-clock validity check [now < ls_until] is local — sound because
    the simulation's virtual clock is globally synchronised (a perfect
    clock-sync assumption, documented in DESIGN.md). *)
 type lease = {
-  mutable ls_keys : Btree.Keyset.t;
-  mutable ls_until : float;  (* 0 = invalidated or never granted *)
-  mutable ls_epoch : int;  (* bumped by every conflicting-write invalidation *)
+  mutable ls_keys : Btree.Keyset.t;  (* granted keys *)
+  mutable ls_until : float;  (* 0 = never granted *)
+  mutable ls_epoch : int;  (* bumped by every conflicting-write revocation *)
+  mutable ls_seen : int;  (* log position the holder had applied when it
+                             proposed its latest grant *)
+}
+
+(* A write this replica applied while other replicas' valid leases covered
+   it.  Until each of them has applied it too, one of them may still serve
+   the old value, so the written keys stay unserved here until each has
+   proved it (a grant of theirs stamped with [seen >= rv_pos]) or its lease
+   has expired. *)
+type revocation = {
+  rv_pos : int;
+  rv_keys : Btree.Keyset.t;
+  mutable rv_need : (int * float) list;  (* (holder, lease expiry) *)
 }
 
 type replica = {
@@ -66,6 +79,14 @@ type replica = {
   r_svc : Smr.Btree_service.t;
   mutable r_exec : Psmr.Executor.t option;  (* set once the ring exists *)
   r_leases : lease array;
+  mutable r_pos : int;  (* KOp and KGrant items applied *)
+  mutable r_revoked : revocation list;
+  mutable r_serve : Btree.Keyset.t;  (* full minus every [r_revoked] key *)
+  mutable r_due : int;  (* latest write position others may await proof of *)
+  mutable r_regranting : bool;  (* a re-grant is in flight *)
+  mutable r_parked : (int * Btree.Keyset.t * (unit -> unit)) list;
+      (* ordered-read responses held on revoked keys, with their log
+         positions, newest first *)
 }
 
 let exec_of rep = match rep.r_exec with Some e -> e | None -> assert false
@@ -171,16 +192,105 @@ let resp_size_of op =
   | Smr.Btree_service.Query { lo; hi } when hi > lo -> 8192
   | _ -> 256
 
-let apply_grant t rep ~replica ~keys ~until =
+(* Replica [r] proposes itself a whole-keyspace lease through the ordered
+   log as ring proposer [n_clients + r].  The grant carries an absolute
+   expiry stamped at submit time, so it is identical at every replica
+   whenever it is applied (leases strictly shrink while in flight —
+   conservative), and the log position [r] had applied by then, which
+   proves to the other holders that [r] no longer serves any value older
+   than that position.  Returns whether the ring accepted it. *)
+let propose_grant t r =
+  let uid =
+    Ringpaxos.Mring.submit (the_mr t) ~proposer:(t.n_clients + r) ~size:64
+      (KGrant
+         { replica = r;
+           keys = Btree.Keyset.full;
+           until = Simnet.now t.net +. t.cfg.lease_dur;
+           seen = t.reps.(r).r_pos })
+  in
+  if uid >= 0 then (match t.on_broadcast with Some f -> f ~uid | None -> ());
+  uid >= 0
+
+(* At most one re-grant in flight per replica; a shed one is retried by
+   the next covered write or renewal. *)
+let regrant t rep =
+  if (not rep.r_regranting) && propose_grant t rep.r_idx then begin
+    rep.r_regranting <- true;
+    Protocol.Counters.incr t.ctrs "kv_lease_regrants"
+  end
+
+(* Whether a revocation ordered at or before [pos] still holds a key of
+   [keys]. *)
+let blocked rep ~pos keys =
+  List.exists
+    (fun rv -> rv.rv_pos <= pos && Btree.Keyset.overlaps rv.rv_keys keys)
+    rep.r_revoked
+
+(* Drop the revocations every holder has proved or outlived, give their
+   keys back, and release the ordered reads that waited on them. *)
+let settle t rep =
+  let now = Simnet.now t.net in
+  let before = List.length rep.r_revoked in
+  List.iter
+    (fun rv ->
+      rv.rv_need <-
+        List.filter
+          (fun (h, until) -> rep.r_leases.(h).ls_seen < rv.rv_pos && now < until)
+          rv.rv_need)
+    rep.r_revoked;
+  rep.r_revoked <- List.filter (fun rv -> rv.rv_need <> []) rep.r_revoked;
+  if List.length rep.r_revoked < before then begin
+    rep.r_serve <-
+      List.fold_left
+        (fun ks rv -> Btree.Keyset.diff ks rv.rv_keys)
+        Btree.Keyset.full rep.r_revoked;
+    let ready, held =
+      List.partition (fun (pos, ks, _) -> not (blocked rep ~pos ks)) rep.r_parked
+    in
+    rep.r_parked <- held;
+    List.iter (fun (_, _, respond) -> respond ()) (List.rev ready)
+  end
+
+(* No holder can serve a value of [keys] older than this replica's. *)
+let covered t rep keys =
+  rep.r_revoked = []
+  || Btree.Keyset.subset keys rep.r_serve
+  || (settle t rep; Btree.Keyset.subset keys rep.r_serve)
+
+(* Hold an ordered read's response until no revocation ordered before it
+   holds its keys: answering with a value another holder may still serve
+   older would let a later local read there go back in time.  At the
+   latest the holders' leases expire. *)
+let park t rep ~keys respond =
+  Protocol.Counters.incr t.ctrs "kv_deferred_reads";
+  rep.r_parked <- (rep.r_pos, keys, respond) :: rep.r_parked;
+  let last =
+    List.fold_left
+      (fun m rv ->
+        if Btree.Keyset.overlaps rv.rv_keys keys then
+          List.fold_left (fun m (_, u) -> Stdlib.max m u) m rv.rv_need
+        else m)
+      0.0 rep.r_revoked
+  in
+  ignore (Sim.Engine.at (Simnet.engine t.net) ~time:last (fun () -> settle t rep))
+
+let apply_grant t rep ~replica ~keys ~until ~seen =
   let e = rep.r_leases.(replica) in
   e.ls_keys <- keys;
   e.ls_until <- until;
-  if rep.r_idx = 0 then Protocol.Counters.incr t.ctrs "kv_lease_grants_applied";
-  if rep.r_idx = replica then
+  e.ls_seen <- seen;
+  settle t rep;
+  (* A re-grant proposed before this replica applied its latest covered
+     write proves too little: propose the next one. *)
+  if rep.r_idx = replica then begin
+    rep.r_regranting <- false;
+    if seen < rep.r_due then regrant t rep;
     trace t (fun tr ->
         Trace.instant tr
           ~pid:(Simnet.pid (learner_proc t rep.r_idx))
           ~cat:"lease" ~name:"grant" ~ts:(Simnet.now t.net))
+  end;
+  if rep.r_idx = 0 then Protocol.Counters.incr t.ctrs "kv_lease_grants_applied"
 
 let apply_op t rep (it : Paxos.Value.item) ~op ~reads ~writes =
   let uid = it.Paxos.Value.uid in
@@ -188,9 +298,10 @@ let apply_op t rep (it : Paxos.Value.item) ~op ~reads ~writes =
   let wrote = not (Btree.Keyset.is_empty writes) in
   let responder = responder_replica t uid in
   let mine = responder = rep.r_idx in
-  (* Replicas whose lease covers this write at its apply point — computed
-     before invalidation.  Only lease entries valid right now defer the
-     writer's response; an expired entry cannot serve reads anyway. *)
+  (* Replicas whose lease covers this write at its apply point.  Only
+     lease entries valid right now defer the writer's response; an expired
+     entry cannot serve reads anyway.  Earlier revocations do not shrink
+     the set: a holder that has not applied them still serves their keys. *)
   let holders = ref [] in
   if t.cfg.leases && wrote then
     Array.iteri
@@ -198,23 +309,35 @@ let apply_op t rep (it : Paxos.Value.item) ~op ~reads ~writes =
         if e.ls_until > now && Btree.Keyset.overlaps writes e.ls_keys then
           holders := (j, e.ls_until) :: !holders)
       rep.r_leases;
-  (* Conflicting writes invalidate overlapping leases when applied: the
-     epoch bumps and local serving stops until a fresh grant is ordered. *)
-  if t.cfg.leases && wrote then
-    Array.iteri
-      (fun j e ->
+  (* A conflicting write revokes its keys, and only those, from every
+     overlapping lease when applied (the epoch bumps).  This replica stops
+     serving them while another holder may not have applied the write yet,
+     and, if its own lease covered the write, proposes a grant at once to
+     prove to the others that it has. *)
+  if t.cfg.leases && wrote then begin
+    Array.iter
+      (fun e ->
         if e.ls_until > 0.0 && Btree.Keyset.overlaps writes e.ls_keys then begin
-          e.ls_until <- 0.0;
           e.ls_epoch <- e.ls_epoch + 1;
           if rep.r_idx = 0 then
-            Protocol.Counters.incr t.ctrs "kv_lease_invalidations";
-          if j = rep.r_idx then
-            trace t (fun tr ->
-                Trace.instant tr
-                  ~pid:(Simnet.pid (learner_proc t rep.r_idx))
-                  ~cat:"lease" ~name:"revoke" ~ts:now)
+            Protocol.Counters.incr t.ctrs "kv_lease_invalidations"
         end)
       rep.r_leases;
+    let need = List.filter (fun (j, _) -> j <> rep.r_idx) !holders in
+    if need <> [] then begin
+      rep.r_revoked <-
+        { rv_pos = rep.r_pos; rv_keys = writes; rv_need = need } :: rep.r_revoked;
+      rep.r_serve <- Btree.Keyset.diff rep.r_serve writes;
+      trace t (fun tr ->
+          Trace.instant tr
+            ~pid:(Simnet.pid (learner_proc t rep.r_idx))
+            ~cat:"lease" ~name:"revoke" ~ts:now)
+    end;
+    if List.mem_assoc rep.r_idx !holders then begin
+      rep.r_due <- rep.r_pos;
+      regrant t rep
+    end
+  end;
   (* The observed value for single-key reads, at this log position (all
      earlier ops already applied to the tree, later ones not yet). *)
   let obs =
@@ -255,8 +378,13 @@ let apply_op t rep (it : Paxos.Value.item) ~op ~reads ~writes =
         | None -> []
       in
       let need = List.filter (fun (j, _) -> not (List.mem j acked)) need in
-      if need = [] then
-        respond_now t ~replica:rep.r_idx ~uid ~client ~obs ~size ~at:commit
+      if need = [] then begin
+        if t.cfg.leases && (not wrote) && not (covered t rep reads) then
+          park t rep ~keys:reads (fun () ->
+              respond_now t ~replica:rep.r_idx ~uid ~client ~obs ~size
+                ~at:(Stdlib.max commit (Simnet.now t.net)))
+        else respond_now t ~replica:rep.r_idx ~uid ~client ~obs ~size ~at:commit
+      end
       else begin
         let deadline =
           List.fold_left (fun m (_, u) -> Stdlib.max m u) 0.0 need
@@ -300,8 +428,12 @@ let deliver t ~learner (it : Paxos.Value.item) =
   | Some f -> f ~replica:learner ~uid:it.Paxos.Value.uid
   | None -> ());
   match it.Paxos.Value.app with
-  | KGrant { replica; keys; until } -> apply_grant t rep ~replica ~keys ~until
-  | KOp { op; reads; writes } -> apply_op t rep it ~op ~reads ~writes
+  | KGrant { replica; keys; until; seen } ->
+      rep.r_pos <- rep.r_pos + 1;
+      apply_grant t rep ~replica ~keys ~until ~seen
+  | KOp { op; reads; writes } ->
+      rep.r_pos <- rep.r_pos + 1;
+      apply_op t rep it ~op ~reads ~writes
   | _ -> ()
 
 (* --- client side ----------------------------------------------------------------- *)
@@ -405,14 +537,19 @@ let issue t (a : OL.arrival) =
    executor workers.  The lease check and the value are taken at arrival,
    inside the read's [invocation, response] interval; the reply, sized
    like the ordered path's, leaves when the worker finishes (unless the
-   replica crashed meanwhile). *)
+   replica crashed meanwhile).  A nack says whether the lease itself is
+   valid ([held]): a revoked key is back once the other holders' re-grants
+   are applied, a missing lease not before the next renewal. *)
 let serve_read t rep ~rid ~client ~lo ~hi =
   let e = rep.r_leases.(rep.r_idx) in
   let now = Simnet.now t.net in
   let proc = learner_proc t rep.r_idx in
-  let valid = t.broken_leases || now < e.ls_until in
+  let valid = now < e.ls_until in
   let keys = Btree.Keyset.range ~lo ~hi in
-  if t.cfg.leases && valid && Btree.Keyset.subset keys e.ls_keys then begin
+  if t.cfg.leases
+     && (t.broken_leases
+        || (valid && Btree.Keyset.subset keys e.ls_keys && covered t rep keys))
+  then begin
     Protocol.Counters.incr t.ctrs "kv_local_reads";
     let op = Smr.Btree_service.Query { lo; hi } in
     let obs =
@@ -427,12 +564,12 @@ let serve_read t rep ~rid ~client ~lo ~hi =
            if Simnet.is_alive proc then
              Simnet.send t.net ~src:proc ~dst:(client_proc t client)
                ~size:(resp_size_of op)
-               (KReadResp { rid; ok = true; obs })))
+               (KReadResp { rid; ok = true; held = true; obs })))
   end
   else begin
     Protocol.Counters.incr t.ctrs "kv_local_nacks";
     Simnet.send t.net ~src:proc ~dst:(client_proc t client) ~size:64
-      (KReadResp { rid; ok = false; obs = None })
+      (KReadResp { rid; ok = false; held = valid; obs = None })
   end
 
 let handle_wack t ~uid ~replica =
@@ -473,7 +610,7 @@ let handle_client_msg t (m : Simnet.msg) prev =
       let inf = Hashtbl.find t.inflight uid in
       Hashtbl.remove t.inflight uid;
       complete t inf ~obs ~res:(Simnet.now t.net)
-  | KReadResp { rid; ok; obs } -> begin
+  | KReadResp { rid; ok; held; obs } -> begin
       match Hashtbl.find_opt t.pending_reads rid with
       | None -> ()  (* timed out; the ordered fallback owns it now *)
       | Some p ->
@@ -486,8 +623,9 @@ let handle_client_msg t (m : Simnet.msg) prev =
           end
           else begin
             Protocol.Counters.incr t.ctrs "kv_local_nacks_seen";
-            t.backoff.(p.p_replica) <-
-              Simnet.now t.net +. t.cfg.lease_backoff;
+            if not held then
+              t.backoff.(p.p_replica) <-
+                Simnet.now t.net +. t.cfg.lease_backoff;
             ordered_issue t ~born:p.p_born p.p_arr
           end
     end
@@ -509,7 +647,14 @@ let create ?on_broadcast ?on_deliver net cfg ~n_clients =
           r_exec = None;
           r_leases =
             Array.init cfg.n_replicas (fun _ ->
-                { ls_keys = Btree.Keyset.empty; ls_until = 0.0; ls_epoch = 0 }) })
+                { ls_keys = Btree.Keyset.empty; ls_until = 0.0; ls_epoch = 0;
+                  ls_seen = 0 });
+          r_pos = 0;
+          r_revoked = [];
+          r_serve = Btree.Keyset.full;
+          r_due = 0;
+          r_regranting = false;
+          r_parked = [] })
   in
   let init_vals = Hashtbl.create 1024 in
   if cfg.record_history then
@@ -589,30 +734,17 @@ let create ?on_broadcast ?on_deliver net cfg ~n_clients =
 
 (* --- lease grants ----------------------------------------------------------------- *)
 
-(* Replica [r] proposes its own lease renewals through the ordered log as
-   ring proposer [n_clients + r]; the grant carries an absolute expiry
-   stamped at submit time, so it is identical at every replica whenever it
-   is applied (leases strictly shrink while in flight — conservative). *)
+(* Every replica renews its lease every [lease_dur / 2] until the
+   horizon, whatever the re-grants do. *)
 let start_leases t ~until =
   if t.cfg.leases then
     Array.iter
       (fun rep ->
         let r = rep.r_idx in
         let rec loop () =
-          let now = Simnet.now t.net in
-          if now <= until then begin
-            let uid =
-              Ringpaxos.Mring.submit (the_mr t) ~proposer:(t.n_clients + r)
-                ~size:64
-                (KGrant
-                   { replica = r;
-                     keys = Btree.Keyset.full;
-                     until = now +. t.cfg.lease_dur })
-            in
-            if uid >= 0 then begin
+          if Simnet.now t.net <= until then begin
+            if propose_grant t r then
               Protocol.Counters.incr t.ctrs "kv_lease_grants";
-              match t.on_broadcast with Some f -> f ~uid | None -> ()
-            end;
             ignore (Simnet.after t.net (t.cfg.lease_dur /. 2.0) loop)
           end
         in
@@ -695,4 +827,5 @@ let check_history t =
 
 module Testing = struct
   let break_leases t = t.broken_leases <- true
+  let issue = issue
 end

@@ -3,26 +3,40 @@
     ordered delivery → {!Psmr.Executor} dependency-aware execution →
     {!Smr.Btree_service} storage — plus a lease-based read-serving tier:
 
-    - every replica periodically proposes itself a {e lease} through the
-      ordered log (a grant carries an absolute expiry stamped at submit
-      time); the lease table is log-driven, so replicas agree on it at
-      every log position;
+    - every replica periodically proposes itself a whole-keyspace
+      {e lease} through the ordered log (a grant carries an absolute
+      expiry stamped at submit time); the lease table is log-driven, so
+      replicas agree on it at every log position;
     - a lease holder answers single-key reads {e locally}, without a
       consensus round, while its own lease is valid and covers the keys
       ({!Btree.Keyset.subset}); the read runs as a read-only command on
       the holder's executor workers ({!Psmr.Executor.read}) and its reply
       is sized like the ordered path's;
-    - a conflicting write {e invalidates} overlapping leases when applied
-      (the lease epoch bumps), and the write's client response is held
-      until every other replica holding a covering lease has acknowledged
+    - a conflicting write {e revokes its keys}, and only those, when
+      applied: the epoch of every overlapping lease bumps, the leases stay
+      valid for every other key, and the write's client response is held
+      until every other replica whose lease covered it has acknowledged
       applying it — or that lease's deadline has provably passed;
-    - a client whose local read is refused (or times out against a dead
-      replica) falls back to the ordered path and backs off that replica.
+    - a replica stops serving a written key while another holder may not
+      have applied the write yet ({!Btree.Keyset.diff} of its servable
+      keys).  Each holder that applies a write covered by its own lease
+      proposes a fresh grant at once (at most one in flight per replica,
+      beside the periodic renewals), stamped with the log position it has
+      applied; the key comes back once every other holder's grant proves
+      that position, or that holder's lease expires.  An ordered read of
+      such a key is answered only then too, so no reader sees a value that
+      a lagging holder could still serve older;
+    - a client whose local read is refused falls back to the ordered
+      path; it backs that replica off only when the replica holds no
+      valid lease (or the read timed out against a dead replica), not
+      for a key revoked under a valid lease, which the re-grants restore
+      within a consensus round.
 
     Validity checks compare against the simulation's single virtual clock,
     i.e. perfect clock synchronisation — the classical lease assumption,
     here exact by construction.  The design follows quorum leases (Moraru
-    et al., SoCC'14) specialised to full-replica leases.
+    et al., SoCC'14) specialised to full-replica leases, with the
+    holders' "applied" notices carried by their grants through the log.
 
     Histories (reads with observed values, uniquely-valued writes) can be
     recorded and checked against {!Smr.Linearizability.Kv}. *)
@@ -43,7 +57,10 @@ type config = {
           1404.6721) *)
   leases : bool;  (** grant leases and serve local reads *)
   lease_dur : float;  (** lease length, seconds of virtual time *)
-  lease_backoff : float;  (** client-side nack/timeout backoff per replica *)
+  lease_backoff : float;
+      (** client-side backoff per replica after a nack from a replica with
+          no valid lease, or a local-read timeout; a nack for a revoked key
+          under a valid lease backs off nothing *)
   read_timeout : float;  (** local-read timeout against a dead replica *)
   initial_keys : int;
   key_range : int;
@@ -54,11 +71,15 @@ val default_config : config
 
 type Simnet.payload +=
   | KOp of { op : Simnet.payload; reads : Btree.Keyset.t; writes : Btree.Keyset.t }
-  | KGrant of { replica : int; keys : Btree.Keyset.t; until : float }
+  | KGrant of { replica : int; keys : Btree.Keyset.t; until : float; seen : int }
+      (** [seen]: the log position [replica] had applied when it proposed
+          the grant *)
   | KResp of { uid : int; obs : int option }
   | KWAck of { uid : int; replica : int }
   | KReadReq of { rid : int; client : int; lo : int; hi : int }
-  | KReadResp of { rid : int; ok : bool; obs : int option }
+  | KReadResp of { rid : int; ok : bool; held : bool; obs : int option }
+      (** [held]: the replica's lease was valid when it answered (a nack
+          with [held] refused only a revoked key) *)
 
 type t
 
@@ -88,8 +109,13 @@ val slo : t -> Slo.t
 val completed : t -> int
 
 (** Event counters (kv_local_reads, kv_local_nacks, kv_lease_grants,
-    kv_lease_invalidations, kv_wacks, kv_deadline_responses,
-    kv_read_timeouts, kv_drops, ...). *)
+    kv_lease_regrants, kv_lease_invalidations, kv_wacks,
+    kv_deadline_responses, kv_read_timeouts, kv_drops, ...).
+    [kv_lease_grants] counts periodic renewals and [kv_lease_regrants] the
+    prompt re-grants after a revocation, together every grant item the
+    ring orders; [kv_lease_invalidations] counts key revocations, one per
+    write and overlapping lease, as replica 0 applies them;
+    [kv_deferred_reads] counts ordered reads held on a revoked key. *)
 val counters : t -> (string * int) list
 
 val counter : t -> string -> int
@@ -125,7 +151,7 @@ val kill_coordinator : t -> unit
 (** Fingerprint of replica [r]'s btree (replicas must agree). *)
 val state_fingerprint_at : t -> int -> int
 
-(** Conflicting-write invalidations [replica] has applied to its own
+(** Conflicting-write revocations [replica] has applied to its own
     lease. *)
 val lease_epoch : t -> replica:int -> int
 
@@ -147,4 +173,7 @@ module Testing : sig
       expired or been invalidated — the bug the linearizability checker
       must catch. *)
   val break_leases : t -> unit
+
+  (** Offer one arrival now, as {!start_open} would at its due time. *)
+  val issue : t -> Smr.Workload.Open_loop.arrival -> unit
 end

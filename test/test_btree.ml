@@ -225,9 +225,44 @@ let prop_keyset_normalised =
       in
       well_formed rs && IS.equal s (set_of_ranges rs))
 
+(* A write revokes its keys from a lease: [diff] against the whole key
+   space must split cleanly at both ends of the int range. *)
+let test_keyset_diff_edges () =
+  let rs = KS.ranges in
+  Alcotest.(check (list (pair int int))) "full minus a key"
+    [ (min_int, 4); (6, max_int) ]
+    (rs (KS.diff KS.full (KS.singleton 5)));
+  Alcotest.(check (list (pair int int))) "full minus both ends"
+    [ (min_int + 1, max_int - 1) ]
+    (rs (KS.diff KS.full (KS.of_ranges [ (min_int, min_int); (max_int, max_int) ])));
+  Alcotest.(check bool) "full minus full" true (KS.is_empty (KS.diff KS.full KS.full));
+  Alcotest.(check (list (pair int int))) "disjoint b leaves a" [ (1, 3) ]
+    (rs (KS.diff (KS.range ~lo:1 ~hi:3) (KS.singleton 9)));
+  Alcotest.(check (list (pair int int))) "one b range spans two a ranges"
+    [ (1, 2); (9, 10) ]
+    (rs (KS.diff (KS.of_ranges [ (1, 4); (7, 10) ]) (KS.range ~lo:3 ~hi:8)))
+
+let prop_keyset_diff =
+  (* [diff a b] never meets [b], stays inside [a], and with [b] covers [a]:
+     the three facts key revocation relies on.  It also denotes exactly
+     the oracle's set difference, in normalised form. *)
+  QCheck.Test.make ~name:"keyset: diff removes exactly b" ~count:300
+    QCheck.(pair range_list range_list)
+    (fun (la, lb) ->
+      let a = KS.of_ranges la and b = KS.of_ranges lb in
+      let d = KS.diff a b in
+      (not (KS.overlaps d b))
+      && KS.subset d a
+      && KS.subset a (KS.of_ranges (KS.ranges d @ KS.ranges b))
+      && KS.ranges d = KS.ranges (KS.of_ranges (KS.ranges d))
+      && IS.equal (set_of_ranges (KS.ranges d))
+           (IS.diff (set_of_ranges la) (set_of_ranges lb)))
+
 let suite =
   suite
   @ [ Alcotest.test_case "keyset range edges" `Quick test_keyset_edges;
+      Alcotest.test_case "keyset diff edges" `Quick test_keyset_diff_edges;
+      QCheck_alcotest.to_alcotest prop_keyset_diff;
       QCheck_alcotest.to_alcotest prop_keyset_overlaps_oracle;
       QCheck_alcotest.to_alcotest prop_keyset_subset_oracle;
       QCheck_alcotest.to_alcotest prop_keyset_normalised ]

@@ -150,6 +150,39 @@ let test_kv_lease_expiry_protects () =
     (Kv.counter sys "kv_local_nacks" > 0);
   Alcotest.(check bool) "linearizable" true (Kv.check_history sys)
 
+(* A holder cut off from the log while reads still reach it keeps serving
+   its old values until its lease expires.  The other replicas must not
+   serve, or answer through the ordered path, a newer value of a key the
+   cut-off holder may still serve older: revoked keys come back only once
+   every holder has proved it applied the write (or its lease expired),
+   and ordered reads of such keys wait as long.  Restoring a key on the
+   holder's own re-grant alone fails these seeds. *)
+let test_kv_isolated_holder_linearizable () =
+  List.iter
+    (fun seed ->
+      let config = { verify_config with lease_dur = 0.1 } in
+      let engine, net, sys = mk ~config ~seed () in
+      let inj = Fault.Injector.create net ~seed in
+      let stale_pid = Simnet.pid (Kv.replica_proc sys 2) in
+      Fault.Injector.rule inj ~at:0.2 ~dur:10.0 ~drop:1.0
+        ~applies:(fun m ~dst ->
+          Simnet.pid dst = stale_pid
+          && match m.Simnet.payload with Kv.KReadReq _ -> false | _ -> true)
+        "isolate replica 2 (reads still reach it)";
+      let wl =
+        OL.create
+          ~ops:[ (OL.Read, 50); (OL.Update, 50) ]
+          ~dist:(OL.Zipf 0.99) (Sim.Rng.create (seed + 1)) ~key_range:32
+          ~rate:(OL.Constant 300.0)
+      in
+      Kv.start_open sys wl ~until:1.2;
+      Sim.Engine.run engine ~until:2.0;
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      Alcotest.(check bool) (name "ordered reads held") true
+        (Kv.counter sys "kv_deferred_reads" > 0);
+      Alcotest.(check bool) (name "linearizable") true (Kv.check_history sys))
+    [ 2; 3; 5 ]
+
 let test_ycsb_presets_wellformed () =
   List.iter
     (fun p ->
@@ -369,6 +402,118 @@ let test_kv_idle_ring_quiet () =
   if cpu >= 0.1 then Alcotest.failf "idle learner CPU %.3f%%" cpu;
   Alcotest.(check int) "nothing executed" 0 (Kv.executed sys)
 
+(* Key-granular revocation: a write to key [k] stops lease reads of [k]
+   alone, and only until every holder's re-grant has proved it applied the
+   write; reads of other keys stay local throughout.  A nack for the
+   revoked key comes from a valid lease, so the client falls back for that
+   read only and backs no replica off: every ordered read is a nacked one. *)
+let test_kv_write_revokes_only_its_keys () =
+  let config = { verify_config with lease_dur = 0.5; lease_backoff = 0.05 } in
+  let engine, net, sys = mk ~config () in
+  let idle =
+    OL.create (Sim.Rng.create 1) ~key_range:config.Kv.key_range
+      ~rate:(OL.Constant 1e-9)
+  in
+  Kv.start_open sys idle ~until:1.0;
+  Sim.Engine.run engine ~until:0.05;
+  let k = 3 and other = 7 in
+  let arrival ~key ~write =
+    let ks = Btree.Keyset.singleton key in
+    { OL.at = Simnet.now net;
+      op =
+        (if write then Smr.Btree_service.Insert { key; value = 1_000 + key }
+         else Smr.Btree_service.Query { lo = key; hi = key });
+      reads = ks;
+      writes = (if write then ks else Btree.Keyset.empty);
+      size = 64 }
+  in
+  (* Tag each lease read by its key at the replica, then tally the
+     replies at the clients. *)
+  let key_of = Hashtbl.create 1024 in
+  for r = 0 to 2 do
+    let p = Kv.replica_proc sys r in
+    let prev = Simnet.handler_of p in
+    Simnet.set_handler p (fun m ->
+        (match m.Simnet.payload with
+        | Kv.KReadReq { rid; lo; _ } -> Hashtbl.replace key_of rid lo
+        | _ -> ());
+        prev m)
+  done;
+  let served = Hashtbl.create 2 and nacked = Hashtbl.create 2 in
+  let get tbl key = Option.value ~default:0 (Hashtbl.find_opt tbl key) in
+  let bump tbl key = Hashtbl.replace tbl key (1 + get tbl key) in
+  let unheld = ref 0 and last_nack = ref 0.0 and last_served = ref 0.0 in
+  for c = 0 to 3 do
+    let p = Kv.client_proc sys c in
+    let prev = Simnet.handler_of p in
+    Simnet.set_handler p (fun m ->
+        (match m.Simnet.payload with
+        | Kv.KReadResp { rid; ok; held; _ } ->
+            let key = Hashtbl.find key_of rid in
+            if ok then begin
+              bump served key;
+              if key = k then last_served := Simnet.now net
+            end
+            else begin
+              bump nacked key;
+              if not held then incr unheld;
+              last_nack := Simnet.now net
+            end
+        | _ -> ());
+        prev m)
+  done;
+  let t0 = Simnet.now net in
+  Kv.Testing.issue sys (arrival ~key:k ~write:true);
+  for i = 0 to 399 do
+    ignore
+      (Sim.Engine.at engine ~time:(t0 +. (float_of_int i *. 25e-6)) (fun () ->
+           Kv.Testing.issue sys (arrival ~key:k ~write:false);
+           Kv.Testing.issue sys (arrival ~key:other ~write:false)))
+  done;
+  Sim.Engine.run engine ~until:(t0 +. 0.05);
+  Alcotest.(check int) "every op answered" 801 (Kv.completed sys);
+  Alcotest.(check int) "other key always served locally" 400 (get served other);
+  Alcotest.(check bool)
+    (Printf.sprintf "reads of the written key nacked (%d)" (get nacked k))
+    true (get nacked k > 0);
+  Alcotest.(check int) "every nack under a valid lease" 0 !unheld;
+  Alcotest.(check int) "no replica backed off: only nacked reads ordered"
+    (1 + get nacked k) (Kv.issued sys);
+  Alcotest.(check bool) "re-grants proposed" true
+    (Kv.counter sys "kv_lease_regrants" > 0);
+  if not (!last_nack < !last_served && !last_nack -. t0 < 0.005) then
+    Alcotest.failf "written key not served again: last nack %.3f ms, last served %.3f ms"
+      ((!last_nack -. t0) *. 1e3) ((!last_served -. t0) *. 1e3);
+  Alcotest.(check bool) "linearizable" true (Kv.check_history sys)
+
+(* YCSB-B (95 % reads, 5 % updates, zipf keys) at 16k ops/s: writes to
+   hot keys revoke those keys alone and the re-grants restore them within
+   a consensus round, so nearly every read is served by a lease.  Reads
+   answered in the first 0.1 s are left out: the ones that arrive before
+   the first grants are nacked without a lease and back every replica off
+   for [lease_backoff] (50 ms of ordered reads, about a tenth of this
+   run). *)
+let test_kv_ycsb_b_serves_reads_locally () =
+  let config = { Kv.default_config with record_history = true } in
+  let engine, _net, sys = mk ~config ~seed:1 () in
+  let wl = Kv.Ycsb.workload Kv.Ycsb.B (Sim.Rng.create 2) ~rate:(OL.Constant 16_000.0) in
+  let count cls = (Kv.Slo.row_of (Kv.slo sys) cls).Kv.Slo.count in
+  Kv.start_open sys wl ~until:0.5;
+  Sim.Engine.run engine ~until:0.1;
+  let local0 = count "read-local" and ordered0 = count "read" in
+  Sim.Engine.run engine ~until:1.0;
+  let local = count "read-local" - local0 and ordered = count "read" - ordered0 in
+  let frac = float_of_int local /. float_of_int (local + ordered) in
+  if frac < 0.9 then Alcotest.failf "local-read fraction %.3f" frac;
+  Alcotest.(check int) "every op answered" (OL.generated wl) (Kv.completed sys);
+  for r = 1 to 2 do
+    Alcotest.(check int)
+      (Printf.sprintf "replica %d fingerprint" r)
+      (Kv.state_fingerprint_at sys 0)
+      (Kv.state_fingerprint_at sys r)
+  done;
+  Alcotest.(check bool) "linearizable" true (Kv.check_history sys)
+
 let test_slo_percentiles () =
   let slo = Kv.Slo.create () in
   for i = 1 to 1000 do
@@ -400,6 +545,8 @@ let suite =
       test_kv_broken_lease_caught;
     Alcotest.test_case "kv lease expiry protects reads" `Quick
       test_kv_lease_expiry_protects;
+    Alcotest.test_case "kv isolated lease holder stays linearizable" `Quick
+      test_kv_isolated_holder_linearizable;
     Alcotest.test_case "ycsb presets well-formed" `Quick
       test_ycsb_presets_wellformed;
     Alcotest.test_case "ycsb D latest-key" `Quick test_ycsb_d_uses_latest;
@@ -417,4 +564,8 @@ let suite =
     Alcotest.test_case "kv open-loop drop accounting" `Quick
       test_kv_open_loop_drop_accounting;
     Alcotest.test_case "kv ordered path plateaus past the knee" `Quick
-      test_kv_ordered_plateau ]
+      test_kv_ordered_plateau;
+    Alcotest.test_case "kv write revokes only its keys" `Quick
+      test_kv_write_revokes_only_its_keys;
+    Alcotest.test_case "kv ycsb-b serves reads locally" `Quick
+      test_kv_ycsb_b_serves_reads_locally ]
